@@ -213,7 +213,7 @@ int Main(int argc, char** argv) {
       opt.reps, [&] { return ShardedContainmentService::Load(dir); },
       &mapped_service);
 
-  ShardedContainmentService::LoadOptions lazy_options;
+  ServiceOptions lazy_options;
   lazy_options.max_resident_shards = S;
   const double mmap_lazy_seconds = TimeLoad(
       opt.reps, [&] { return ShardedContainmentService::Load(dir, lazy_options); },
@@ -250,7 +250,7 @@ int Main(int argc, char** argv) {
   // max_resident_shards = S/2: between queries the LRU evicts down to the
   // budget, so every Serve reactivates evicted shards — the worst-case
   // first-query path of a larger-than-RAM deployment.
-  ShardedContainmentService::LoadOptions tight;
+  ServiceOptions tight;
   tight.max_resident_shards = std::max<size_t>(1, S / 2);
   Result<std::unique_ptr<ShardedContainmentService>> constrained =
       ShardedContainmentService::Load(dir, tight);

@@ -100,11 +100,10 @@ struct ServiceOptions {
   ShardPartitioner partitioner = ShardPartitioner::kHash;
   // Query-result cache capacity in entries; 0 disables the cache.
   size_t cache_capacity = 0;
-  // Sketch budget of the mutable ingest shard in element units;
-  // 0 = space_ratio * total_elements / num_shards (min 1024).
-  uint64_t ingest_budget_units = 0;
-  // Promote the ingest shard to an immutable shard (in the background) once
-  // it holds this many records; 0 = only on explicit Promote().
+  // Seal the open shard (the one Ingest folds rows into) once it holds
+  // this many records; 0 = ShardedContainmentService::kDefaultSealRows
+  // (1024). Each fold costs time linear in the open shard's rows, so it is
+  // always bounded.
   size_t auto_promote_records = 0;
   // Resident-shard budget for services restored with Load (docs/sharding.md
   // "Larger than RAM"). When either limit is non-zero, Load defers every
@@ -130,10 +129,6 @@ struct ServiceOptions {
   // automatic purging (tombstones still purge on every merge).
   double tombstone_purge_threshold = 0.0;
 };
-
-// Deprecated alias (one PR): the knobs used to be named after sharding
-// alone; the lifecycle work folded every service knob into ServiceOptions.
-using ShardedOptions = ServiceOptions;
 
 struct SearcherConfig {
   SearchMethod method = SearchMethod::kGbKmv;

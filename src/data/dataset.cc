@@ -28,9 +28,8 @@ Result<Dataset> Dataset::CreateFromNormalized(std::vector<Record> records,
   return ds;
 }
 
-void Dataset::EnsureFrequencyTables() const {
-  if (freq_ready_) return;
-
+Dataset::FrequencyTables Dataset::DeriveFrequencyTables() const {
+  FrequencyTables t;
   ElementId max_id = 0;
   bool any = false;
   for (const Record& r : records_) {
@@ -39,34 +38,35 @@ void Dataset::EnsureFrequencyTables() const {
       any = true;
     }
   }
-  frequency_.assign(any ? static_cast<size_t>(max_id) + 1 : 0, 0);
+  t.frequency.assign(any ? static_cast<size_t>(max_id) + 1 : 0, 0);
   for (const Record& r : records_) {
-    for (ElementId e : r) ++frequency_[e];
+    for (ElementId e : r) ++t.frequency[e];
   }
-  num_distinct_ = static_cast<size_t>(
-      std::count_if(frequency_.begin(), frequency_.end(),
+  t.num_distinct = static_cast<size_t>(
+      std::count_if(t.frequency.begin(), t.frequency.end(),
                     [](uint64_t f) { return f > 0; }));
 
-  by_frequency_.resize(frequency_.size());
-  std::iota(by_frequency_.begin(), by_frequency_.end(), 0);
-  std::stable_sort(by_frequency_.begin(), by_frequency_.end(),
-                   [this](ElementId a, ElementId b) {
-                     return frequency_[a] > frequency_[b];
+  t.by_frequency.resize(t.frequency.size());
+  std::iota(t.by_frequency.begin(), t.by_frequency.end(), 0);
+  std::stable_sort(t.by_frequency.begin(), t.by_frequency.end(),
+                   [&t](ElementId a, ElementId b) {
+                     return t.frequency[a] > t.frequency[b];
                    });
   // Drop zero-frequency tail so the buffer never wastes bits on unseen ids.
-  while (!by_frequency_.empty() &&
-         frequency_[by_frequency_.back()] == 0) {
-    by_frequency_.pop_back();
+  while (!t.by_frequency.empty() &&
+         t.frequency[t.by_frequency.back()] == 0) {
+    t.by_frequency.pop_back();
   }
 
-  prefix_freq_.resize(by_frequency_.size() + 1, 0);
-  prefix_freq_sq_.resize(by_frequency_.size() + 1, 0.0);
-  for (size_t i = 0; i < by_frequency_.size(); ++i) {
-    const double f = static_cast<double>(frequency_[by_frequency_[i]]);
-    prefix_freq_[i + 1] = prefix_freq_[i] + frequency_[by_frequency_[i]];
-    prefix_freq_sq_[i + 1] = prefix_freq_sq_[i] + f * f;
+  t.prefix_freq.resize(t.by_frequency.size() + 1, 0);
+  t.prefix_freq_sq.resize(t.by_frequency.size() + 1, 0.0);
+  for (size_t i = 0; i < t.by_frequency.size(); ++i) {
+    const uint64_t f = t.frequency[t.by_frequency[i]];
+    const double fd = static_cast<double>(f);
+    t.prefix_freq[i + 1] = t.prefix_freq[i] + f;
+    t.prefix_freq_sq[i + 1] = t.prefix_freq_sq[i] + fd * fd;
   }
-  freq_ready_ = true;
+  return t;
 }
 
 uint64_t FingerprintRecords(const std::vector<Record>& records) {
@@ -82,42 +82,40 @@ uint64_t FingerprintRecords(const std::vector<Record>& records) {
 }
 
 uint64_t Dataset::Fingerprint() const {
-  if (!fingerprint_ready_) {
-    fingerprint_ = FingerprintRecords(records_);
-    fingerprint_ready_ = true;
-  }
-  return fingerprint_;
+  return fingerprint_.Get([this] { return FingerprintRecords(records_); });
 }
 
 uint64_t Dataset::TopFrequencySum(size_t r) const {
-  EnsureFrequencyTables();
-  r = std::min(r, by_frequency_.size());
-  return prefix_freq_[r];
+  const FrequencyTables& t = tables();
+  r = std::min(r, t.by_frequency.size());
+  return t.prefix_freq[r];
 }
 
 double Dataset::FrequencySecondMoment() const {
   if (total_elements_ == 0) return 0.0;
-  EnsureFrequencyTables();
   const double n2 = static_cast<double>(total_elements_) *
                     static_cast<double>(total_elements_);
-  return prefix_freq_sq_.back() / n2;
+  return tables().prefix_freq_sq.back() / n2;
 }
 
 double Dataset::TopFrequencySecondMoment(size_t r) const {
   if (total_elements_ == 0) return 0.0;
-  EnsureFrequencyTables();
-  r = std::min(r, by_frequency_.size());
+  const FrequencyTables& t = tables();
+  r = std::min(r, t.by_frequency.size());
   const double n2 = static_cast<double>(total_elements_) *
                     static_cast<double>(total_elements_);
-  return prefix_freq_sq_[r] / n2;
+  return t.prefix_freq_sq[r] / n2;
 }
 
 const DatasetStats& Dataset::stats() const {
-  if (stats_ready_) return stats_;
-  EnsureFrequencyTables();
+  return stats_.Get([this] { return DeriveStats(); });
+}
+
+DatasetStats Dataset::DeriveStats() const {
+  const FrequencyTables& t = tables();
   DatasetStats s;
   s.num_records = records_.size();
-  s.num_distinct = num_distinct_;
+  s.num_distinct = t.num_distinct;
   s.total_elements = total_elements_;
   if (!records_.empty()) {
     s.min_record_size = records_[0].size();
@@ -131,8 +129,8 @@ const DatasetStats& Dataset::stats() const {
   }
   // α1: fit over element frequencies; α2: fit over record sizes.
   std::vector<uint64_t> freqs;
-  freqs.reserve(num_distinct_);
-  for (uint64_t f : frequency_) {
+  freqs.reserve(t.num_distinct);
+  for (uint64_t f : t.frequency) {
     if (f > 0) freqs.push_back(f);
   }
   s.alpha_element_freq = FitPowerLawExponent(freqs, 1);
@@ -141,9 +139,7 @@ const DatasetStats& Dataset::stats() const {
   for (const Record& r : records_) sizes.push_back(r.size());
   const uint64_t size_xmin = s.min_record_size > 0 ? s.min_record_size : 1;
   s.alpha_record_size = FitPowerLawExponent(sizes, size_xmin);
-  stats_ = s;
-  stats_ready_ = true;
-  return stats_;
+  return s;
 }
 
 }  // namespace gbkmv

@@ -5,7 +5,10 @@
 #ifndef GBKMV_DATA_DATASET_H_
 #define GBKMV_DATA_DATASET_H_
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -62,37 +65,30 @@ class Dataset {
   // The frequency accessors below derive their tables on first use (the
   // element-frequency count plus the by-frequency sort are the dominant
   // cost of dataset construction, and index builds that reuse a pinned
-  // sketcher — promotion, compaction merges — never need them). Like
-  // stats() and Fingerprint(), the first access is not thread-safe:
-  // builders derive before an index is published to query threads.
+  // sketcher — compaction merges, the open shard's per-ingest fold — never
+  // need them). Derivation runs exactly once even when first accesses race
+  // (std::call_once), so a shared dataset may be read from any thread, as
+  // may stats() and Fingerprint().
 
   // Largest element id + 1 (ids are dense but may have gaps with freq 0).
-  size_t universe_size() const {
-    EnsureFrequencyTables();
-    return frequency_.size();
-  }
+  size_t universe_size() const { return tables().frequency.size(); }
 
   // Number of elements with frequency > 0.
-  size_t num_distinct() const {
-    EnsureFrequencyTables();
-    return num_distinct_;
-  }
+  size_t num_distinct() const { return tables().num_distinct; }
 
   // Frequency of element `e` (0 for unseen ids).
   uint64_t frequency(ElementId e) const {
-    EnsureFrequencyTables();
-    return e < frequency_.size() ? frequency_[e] : 0;
+    const std::vector<uint64_t>& f = tables().frequency;
+    return e < f.size() ? f[e] : 0;
   }
   const std::vector<uint64_t>& frequencies() const {
-    EnsureFrequencyTables();
-    return frequency_;
+    return tables().frequency;
   }
 
   // Element ids sorted by decreasing frequency (ties by id); the first r
   // entries are the GB-KMV buffer universe E_H.
   const std::vector<ElementId>& elements_by_frequency() const {
-    EnsureFrequencyTables();
-    return by_frequency_;
+    return tables().by_frequency;
   }
 
   // Σ of the top-r frequencies (N1 in §IV-C6). r is clamped to num_distinct.
@@ -123,24 +119,73 @@ class Dataset {
   static Result<Dataset> Load(const std::string& path);
 
  private:
-  // Counts elements and sorts the universe by frequency; no-op once done.
-  void EnsureFrequencyTables() const;
+  // A block derived from the records on first use, exactly once even when
+  // first uses race. A copy takes the source's value when it is already
+  // derived and derives its own on demand otherwise (std::once_flag is
+  // neither copyable nor movable, hence the indirection).
+  template <typename T>
+  class Lazy {
+   public:
+    Lazy() = default;
+    Lazy(const Lazy& other) { CopyFrom(other); }
+    // noexcept so containers of Datasets move rather than copy them.
+    Lazy(Lazy&& other) noexcept {
+      if (other.ready_.load(std::memory_order_acquire)) {
+        Get([&other] { return std::move(other.value_); });
+      }
+    }
+    Lazy& operator=(const Lazy& other) {
+      if (this != &other) {
+        once_ = std::make_unique<std::once_flag>();
+        ready_.store(false, std::memory_order_relaxed);
+        value_ = T{};
+        CopyFrom(other);
+      }
+      return *this;
+    }
+
+    template <typename Derive>
+    const T& Get(const Derive& derive) const {
+      std::call_once(*once_, [&] {
+        value_ = derive();
+        ready_.store(true, std::memory_order_release);
+      });
+      return value_;
+    }
+
+   private:
+    void CopyFrom(const Lazy& other) {
+      if (other.ready_.load(std::memory_order_acquire)) {
+        Get([&other] { return other.value_; });
+      }
+    }
+
+    std::unique_ptr<std::once_flag> once_ = std::make_unique<std::once_flag>();
+    mutable T value_{};
+    mutable std::atomic<bool> ready_{false};
+  };
+
+  struct FrequencyTables {
+    std::vector<uint64_t> frequency;
+    std::vector<ElementId> by_frequency;
+    std::vector<uint64_t> prefix_freq;   // prefix sums over by_frequency
+    std::vector<double> prefix_freq_sq;  // prefix sums of f²
+    size_t num_distinct = 0;
+  };
+
+  // Counts elements and sorts the universe by frequency.
+  FrequencyTables DeriveFrequencyTables() const;
+  DatasetStats DeriveStats() const;
+  const FrequencyTables& tables() const {
+    return tables_.Get([this] { return DeriveFrequencyTables(); });
+  }
 
   std::string name_;
   std::vector<Record> records_;
-  // Lazily derived (EnsureFrequencyTables); mutable for the same
-  // compute-once caching reason as stats_ and fingerprint_.
-  mutable std::vector<uint64_t> frequency_;
-  mutable std::vector<ElementId> by_frequency_;
-  mutable std::vector<uint64_t> prefix_freq_;   // prefix sums over by_frequency_.
-  mutable std::vector<double> prefix_freq_sq_;  // prefix sums of f².
-  mutable size_t num_distinct_ = 0;
-  mutable bool freq_ready_ = false;
   uint64_t total_elements_ = 0;
-  mutable DatasetStats stats_;
-  mutable bool stats_ready_ = false;
-  mutable uint64_t fingerprint_ = 0;
-  mutable bool fingerprint_ready_ = false;
+  Lazy<FrequencyTables> tables_;
+  Lazy<DatasetStats> stats_;
+  Lazy<uint64_t> fingerprint_;
 };
 
 // The fingerprint of a raw record sequence (what Dataset::Fingerprint

@@ -2,13 +2,13 @@
 // lifecycle").
 //
 // Every way the service can change — ingest a record, tombstone one,
-// promote the ingest shard, merge-compact promoted shards — goes through
+// seal the open shard, merge-compact promoted shards — goes through
 // one request/result vocabulary with one error taxonomy:
 //
 //   InvalidArgument    malformed input (empty record, bad options)
 //   NotFound           Delete of an id that never existed or was purged
 //   FailedPrecondition mutation cannot run now (compaction already in
-//                      flight, nothing to promote)
+//                      flight)
 //   Internal/other     build or I/O failure surfaced from below
 //
 // The service methods (serve/sharded_service.h) take these types directly:
@@ -34,9 +34,9 @@ namespace gbkmv {
 namespace serve {
 
 enum class MutationKind {
-  kIngest,   // append a record to the mutable ingest shard
+  kIngest,   // append a record to the open shard
   kDelete,   // tombstone a record by global id
-  kPromote,  // freeze the ingest shard into an immutable promoted shard
+  kPromote,  // seal the open shard into an immutable promoted shard
   kCompact,  // merge-compact promoted shards (purges tombstones)
 };
 
@@ -60,8 +60,8 @@ struct MutationRequest {
 
 // What a mutation did. `id` is the assigned global id (kIngest) or the
 // tombstoned id (kDelete); `noop` is true when the mutation changed
-// nothing (double-delete of an already-tombstoned id, promote of an empty
-// ingest shard, compact with fewer than two promoted shards).
+// nothing (double-delete of an already-tombstoned id, promote with no
+// open shard, compact with fewer than two promoted shards).
 struct MutationResult {
   MutationKind kind = MutationKind::kIngest;
   RecordId id = 0;

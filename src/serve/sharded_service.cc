@@ -10,6 +10,7 @@
 
 #include "common/timer.h"
 #include "index/brute_force.h"
+#include "index/dynamic_index.h"
 #include "index/freqset.h"
 #include "index/gbkmv_index.h"
 #include "index/minhash_lsh.h"
@@ -41,7 +42,6 @@ struct ServeMetrics {
   obs::Counter* deletes = nullptr;
   obs::Counter* tombstones_purged = nullptr;
   obs::Counter* promotions = nullptr;
-  obs::Histogram* promotion_ns = nullptr;
   obs::Counter* compactions = nullptr;
   obs::Histogram* compaction_ns = nullptr;
   obs::Counter* shard_activations = nullptr;
@@ -65,7 +65,6 @@ const ServeMetrics& Metrics() {
     m.tombstones_purged =
         registry.GetCounter("gbkmv_serve_tombstones_purged_total");
     m.promotions = registry.GetCounter("gbkmv_serve_promotions_total");
-    m.promotion_ns = registry.GetHistogram("gbkmv_serve_promotion_ns");
     m.compactions = registry.GetCounter("gbkmv_serve_compactions_total");
     m.compaction_ns = registry.GetHistogram("gbkmv_serve_compaction_ns");
     m.shard_activations =
@@ -139,24 +138,36 @@ Status CopySnapshotFile(const std::string& from, const std::string& to) {
   return Status::OK();
 }
 
-// Reads the embedded dataset back out of a shard snapshot (compaction of a
-// mapped or evicted shard; the resident payload has no Dataset to reuse).
-Result<std::unique_ptr<Dataset>> LoadDatasetFromSnapshotFile(
-    const std::string& path) {
+// Reads the embedded dataset back out of a shard snapshot (a mapped or
+// evicted shard's resident payload has no Dataset to reuse).
+Result<Dataset> LoadDatasetFromSnapshotFile(const std::string& path) {
   Result<std::string> kind = ReadSearcherSnapshotKind(path);
   if (!kind.ok()) return kind.status();
-  if (*kind == "dataset") {
-    Result<Dataset> dataset = Dataset::Load(path);
-    if (!dataset.ok()) return dataset.status();
-    return std::make_unique<Dataset>(std::move(dataset.value()));
-  }
+  if (*kind == "dataset") return Dataset::Load(path);
   Result<io::SnapshotReader> snapshot = io::SnapshotReader::Open(path);
   if (!snapshot.ok()) return snapshot.status();
   Result<io::Reader> section = snapshot->Section(io::kSectionDataset);
   if (!section.ok()) return section.status();
-  Result<Dataset> dataset = Dataset::LoadFrom(&section.value());
-  if (!dataset.ok()) return dataset.status();
-  return std::make_unique<Dataset>(std::move(dataset.value()));
+  return Dataset::LoadFrom(&section.value());
+}
+
+// Manifest v1/v2 only: the rows of a saved ingest shard (a
+// DynamicGbKmvIndex snapshot), in insertion order — which is global-id
+// order.
+Result<std::vector<Record>> LoadLegacyIngestRows(const std::string& path) {
+  Result<std::unique_ptr<DynamicGbKmvIndex>> index =
+      DynamicGbKmvIndex::Load(path);
+  if (!index.ok()) return index.status();
+  std::vector<Record> rows;
+  rows.reserve((*index)->size());
+  for (size_t i = 0; i < (*index)->size(); ++i) {
+    const Record& row = (*index)->record(static_cast<RecordId>(i));
+    if (row.empty() || !IsNormalized(row)) {
+      return Status::Corruption("legacy ingest shard holds an invalid record");
+    }
+    rows.push_back(row);
+  }
+  return rows;
 }
 
 }  // namespace
@@ -177,17 +188,7 @@ ShardedContainmentService::Build(const Dataset& dataset,
   std::unique_ptr<ShardedContainmentService> service(
       new ShardedContainmentService(config));
   service->next_global_id_ = static_cast<RecordId>(dataset.size());
-  service->ingest_base_ = service->next_global_id_;
-
   const size_t num_shards = std::max<size_t>(1, config.sharded.num_shards);
-  service->ingest_budget_units_ = config.sharded.ingest_budget_units;
-  if (service->ingest_budget_units_ == 0) {
-    service->ingest_budget_units_ = std::max<uint64_t>(
-        1024, static_cast<uint64_t>(config.space_ratio *
-                                    static_cast<double>(
-                                        dataset.total_elements())) /
-                  num_shards);
-  }
 
   if (config.method == SearchMethod::kGbKmv ||
       config.method == SearchMethod::kGKmv) {
@@ -224,24 +225,14 @@ ShardedContainmentService::Build(const Dataset& dataset,
     std::vector<Record> records;
     records.reserve(partition[k].size());
     for (RecordId id : partition[k]) records.push_back(dataset.record(id));
-    // Rows come from an already-validated Dataset; skip re-validation.
-    Result<Dataset> shard_dataset = Dataset::CreateFromNormalized(
-        std::move(records), dataset.name() + "/shard-" + std::to_string(k));
-    if (!shard_dataset.ok()) {
-      statuses[k] = shard_dataset.status();
+    Result<std::shared_ptr<ActiveShard>> active = service->BuildShard(
+        std::move(records), dataset.name() + "/shard-" + std::to_string(k),
+        inner_threads);
+    if (!active.ok()) {
+      statuses[k] = active.status();
       return;
     }
-    auto active = std::make_shared<ActiveShard>();
-    active->dataset =
-        std::make_unique<Dataset>(std::move(shard_dataset.value()));
-    Result<std::unique_ptr<ContainmentSearcher>> searcher =
-        service->BuildShardSearcher(*active->dataset, inner_threads);
-    if (!searcher.ok()) {
-      statuses[k] = searcher.status();
-      return;
-    }
-    active->searcher = std::move(searcher.value());
-    shards[k].active = std::move(active);
+    shards[k].active = std::move(active.value());
     shards[k].global_ids = partition[k];
   };
   if (partition.size() > 1 && threads > 1) {
@@ -313,6 +304,61 @@ ShardedContainmentService::BuildShardSearcher(const Dataset& shard_dataset,
       return Status::InvalidArgument("method not supported by the sharded "
                                      "service");
   }
+}
+
+Result<std::shared_ptr<ShardedContainmentService::ActiveShard>>
+ShardedContainmentService::BuildShard(
+    std::vector<Record> records, std::string name, size_t num_threads,
+    std::span<const MergeInput> sources) const {
+  // Rows come from validated datasets or from MakeRecord; skip the
+  // per-element re-validation.
+  Result<Dataset> dataset =
+      Dataset::CreateFromNormalized(std::move(records), std::move(name));
+  if (!dataset.ok()) return dataset.status();
+  auto active = std::make_shared<ActiveShard>();
+  active->dataset = std::make_unique<Dataset>(std::move(dataset.value()));
+  // GB-KMV/G-KMV sources merge at the index level: their flat rows are
+  // concatenated under the pinned sketcher, so nothing is re-sketched and
+  // the union's frequency tables are never derived.
+  std::vector<GbKmvIndexSearcher::MergeSource> flat;
+  for (const MergeInput& source : sources) {
+    const auto* searcher = dynamic_cast<const GbKmvIndexSearcher*>(
+        source.active->searcher.get());
+    if (searcher == nullptr) {
+      flat.clear();
+      break;
+    }
+    flat.push_back({searcher, source.deleted});
+  }
+  if (!flat.empty()) {
+    Result<std::unique_ptr<GbKmvIndexSearcher>> merged =
+        GbKmvIndexSearcher::Merge(flat, *active->dataset);
+    if (!merged.ok()) return merged.status();
+    active->searcher = std::move(merged.value());
+    return active;
+  }
+  Result<std::unique_ptr<ContainmentSearcher>> searcher =
+      BuildShardSearcher(*active->dataset, num_threads);
+  if (!searcher.ok()) return searcher.status();
+  active->searcher = std::move(searcher.value());
+  return active;
+}
+
+Result<const Dataset*> ShardedContainmentService::ShardRows(
+    const Shard& shard, const ActiveShard& active,
+    std::unique_ptr<Dataset>* reread) {
+  const Dataset* dataset = active.dataset.get();
+  if (dataset == nullptr) {
+    Result<Dataset> loaded = LoadDatasetFromSnapshotFile(shard.snapshot_path);
+    if (!loaded.ok()) return loaded.status();
+    *reread = std::make_unique<Dataset>(std::move(loaded.value()));
+    dataset = reread->get();
+  }
+  if (dataset->size() != shard.global_ids.size()) {
+    return Status::Corruption("shard dataset size disagrees with its "
+                              "global-id map");
+  }
+  return dataset;
 }
 
 QueryResponse ShardedContainmentService::Serve(const QueryRequest& request,
@@ -480,7 +526,7 @@ std::vector<QueryResponse> ShardedContainmentService::BatchServe(
     const std::vector<uint8_t>* deleted = nullptr;
   };
   std::vector<Live> live;
-  live.reserve(shards_.size() + 2);
+  live.reserve(shards_.size());
   // Pin every shard for the whole batch: activation happens here (first
   // query after Load or after an eviction), and the pins keep each payload
   // alive even if a later activation in this very loop evicts it from the
@@ -496,30 +542,6 @@ std::vector<QueryResponse> ShardedContainmentService::BatchServe(
     live.push_back({active.value()->searcher.get(), shard.global_ids,
                     shard.num_deleted > 0 ? &shard.deleted : nullptr});
     pins.push_back(std::move(active.value()));
-  }
-  // Contiguous global ids of the dynamic shards (promoting, then ingest).
-  std::vector<RecordId> dynamic_ids;
-  const size_t promoting_count = promoting_ ? promoting_->size() : 0;
-  const size_t ingest_count = ingest_ ? ingest_->size() : 0;
-  dynamic_ids.reserve(promoting_count + ingest_count);
-  if (promoting_count > 0) {
-    for (size_t i = 0; i < promoting_count; ++i) {
-      dynamic_ids.push_back(promoting_base_ + static_cast<RecordId>(i));
-    }
-    live.push_back({promoting_.get(),
-                    std::span<const RecordId>(dynamic_ids.data(),
-                                              promoting_count),
-                    promoting_num_deleted_ > 0 ? &promoting_deleted_
-                                               : nullptr});
-  }
-  if (ingest_count > 0) {
-    for (size_t i = 0; i < ingest_count; ++i) {
-      dynamic_ids.push_back(ingest_base_ + static_cast<RecordId>(i));
-    }
-    live.push_back({ingest_.get(),
-                    std::span<const RecordId>(
-                        dynamic_ids.data() + promoting_count, ingest_count),
-                    ingest_num_deleted_ > 0 ? &ingest_deleted_ : nullptr});
   }
 
   // Observability (docs/observability.md). Everything below is passive:
@@ -749,21 +771,10 @@ std::shared_ptr<ThreadPool> ShardedContainmentService::ServingPool(
   return serving_pool_;
 }
 
-void ShardedContainmentService::EnsureIngestLocked() {
-  if (ingest_ != nullptr) return;
-  // Empty seed dataset: the ingest shard starts without a buffer (no
-  // frequency statistics to pick E_H from) and a budget sized for one
-  // shard's worth of data.
-  Result<Dataset> empty = Dataset::Create({}, "ingest");
-  GBKMV_CHECK(empty.ok());
-  DynamicGbKmvOptions options;
-  options.budget_units = ingest_budget_units_;
-  options.buffer_bits = 0;
-  options.seed = config_.seed;
-  Result<std::unique_ptr<DynamicGbKmvIndex>> index =
-      DynamicGbKmvIndex::Create(*empty, options);
-  GBKMV_CHECK(index.ok());
-  ingest_ = std::move(index.value());
+size_t ShardedContainmentService::SealRows() const {
+  return config_.sharded.auto_promote_records > 0
+             ? config_.sharded.auto_promote_records
+             : kDefaultSealRows;
 }
 
 Result<RecordId> ShardedContainmentService::Ingest(Record record) {
@@ -771,33 +782,51 @@ Result<RecordId> ShardedContainmentService::Ingest(Record record) {
   if (normalised.empty()) {
     return Status::InvalidArgument("cannot ingest an empty record");
   }
+  // Sketch the row once, outside the lock, as a one-row shard.
+  Result<std::shared_ptr<ActiveShard>> row =
+      BuildShard({normalised}, "open", 1);
+  if (!row.ok()) return row.status();
+
   std::unique_lock<std::shared_mutex> lock(state_mutex_);
-  EnsureIngestLocked();
-  ingest_->Insert(std::move(normalised));
+  const RecordId global_id = next_global_id_;
+  if (!has_open_shard_) {
+    Shard open;
+    open.active = std::move(row.value());
+    open.global_ids.push_back(global_id);
+    shards_.push_back(std::move(open));
+    has_open_shard_ = true;
+  } else {
+    // Fold the row in with compaction's builder. No masks are passed:
+    // tombstones carry forward unpurged, so the mask stays aligned.
+    Shard& open = shards_.back();
+    Result<std::shared_ptr<ActiveShard>> pinned = PinShard(open);
+    if (!pinned.ok()) return pinned.status();
+    std::unique_ptr<Dataset> reread;
+    Result<const Dataset*> rows = ShardRows(open, **pinned, &reread);
+    if (!rows.ok()) return rows.status();
+    std::vector<Record> records = (*rows)->records();
+    records.push_back(std::move(normalised));
+    const MergeInput sources[] = {{pinned.value().get(), nullptr},
+                                  {row.value().get(), nullptr}};
+    Result<std::shared_ptr<ActiveShard>> folded =
+        BuildShard(std::move(records), "open", 1, sources);
+    if (!folded.ok()) return folded.status();
+    {
+      std::lock_guard<std::mutex> resident(resident_mutex_);
+      open.active = std::move(folded.value());
+      // Built in memory now: permanently resident, saved from memory.
+      open.snapshot_path.clear();
+      UpdateResidentGaugesLocked();
+    }
+    open.global_ids.push_back(global_id);
+    if (!open.deleted.empty()) open.deleted.push_back(0);
+  }
+  ++next_global_id_;
   Metrics().ingests->Add(1);
-  const RecordId global_id = next_global_id_++;
   // Any insert can change any query's answer: full invalidation
   // (docs/sharding.md).
   cache_.Clear();
-  if (config_.sharded.auto_promote_records > 0 &&
-      ingest_->size() >= config_.sharded.auto_promote_records &&
-      !promotion_in_flight_.exchange(true)) {
-    if (background_pool_ == nullptr) {
-      background_pool_ = std::make_unique<ThreadPool>(1);
-    }
-    // Submitting under the lock is safe: Submit only enqueues, and the
-    // task's own unique_lock (DoPromote phase 1) waits for us to release.
-    background_task_ = background_pool_->Submit([this] {
-      const Status status = DoPromote();
-      {
-        std::unique_lock<std::shared_mutex> inner(state_mutex_);
-        if (!status.ok() && background_status_.ok()) {
-          background_status_ = status;
-        }
-      }
-      promotion_in_flight_.store(false);
-    });
-  }
+  if (shards_.back().global_ids.size() >= SealRows()) SealLocked();
   return global_id;
 }
 
@@ -810,150 +839,53 @@ Result<MutationResult> ShardedContainmentService::Delete(RecordId id) {
     return Status::NotFound("record " + std::to_string(id) +
                             " was never ingested");
   }
-  // Marks local row `local` in a lazily sized mask; reports a double
-  // delete as a no-op.
-  const auto mark = [&result](std::vector<uint8_t>* mask, size_t* count,
-                              size_t local, size_t rows) {
-    if (mask->size() < rows) mask->resize(rows, 0);
-    if ((*mask)[local] != 0) {
+  // Every shard holds ascending global ids, so one binary search per shard
+  // locates the local row.
+  for (Shard& shard : shards_) {
+    const auto it =
+        std::lower_bound(shard.global_ids.begin(), shard.global_ids.end(), id);
+    if (it == shard.global_ids.end() || *it != id) continue;
+    const size_t local = static_cast<size_t>(it - shard.global_ids.begin());
+    // Masks are sized lazily, on the shard's first tombstone.
+    if (shard.deleted.empty()) shard.deleted.assign(shard.global_ids.size(), 0);
+    if (shard.deleted[local] != 0) {
       result.noop = true;
-      return;
+      return result;
     }
-    (*mask)[local] = 1;
-    ++*count;
-  };
-  if (id >= ingest_base_) {
-    const size_t local = static_cast<size_t>(id - ingest_base_);
-    if (ingest_ == nullptr || local >= ingest_->size()) {
-      return Status::NotFound("record " + std::to_string(id) +
-                              " is not in the ingest shard");
-    }
-    mark(&ingest_deleted_, &ingest_num_deleted_, local, ingest_->size());
-  } else if (promoting_ != nullptr && id >= promoting_base_ &&
-             static_cast<size_t>(id - promoting_base_) < promoting_->size()) {
-    mark(&promoting_deleted_, &promoting_num_deleted_,
-         static_cast<size_t>(id - promoting_base_), promoting_->size());
-  } else {
-    // Immutable shards: each holds ascending global ids, so one binary
-    // search per shard locates the local row.
-    bool found = false;
-    for (Shard& shard : shards_) {
-      const auto it = std::lower_bound(shard.global_ids.begin(),
-                                       shard.global_ids.end(), id);
-      if (it == shard.global_ids.end() || *it != id) continue;
-      mark(&shard.deleted, &shard.num_deleted,
-           static_cast<size_t>(it - shard.global_ids.begin()),
-           shard.global_ids.size());
-      found = true;
-      break;
-    }
-    if (!found) {
-      // A valid id that no live row carries was purged by an earlier merge
-      // (double delete across a compaction).
-      return Status::NotFound("record " + std::to_string(id) +
-                              " was already purged");
-    }
-  }
-  if (!result.noop) {
+    shard.deleted[local] = 1;
+    ++shard.num_deleted;
     Metrics().deletes->Add(1);
     // A tombstone narrows answers everywhere: full invalidation, exactly
     // like Ingest.
     cache_.Clear();
     MaybeScheduleCompactionLocked();
+    return result;
   }
-  return result;
+  // A valid id that no live row carries was purged by an earlier merge
+  // (double delete across a compaction).
+  return Status::NotFound("record " + std::to_string(id) +
+                          " was already purged");
 }
 
-Status ShardedContainmentService::DoPromote() {
-  const WallTimer timer;
-  // Phase 1: freeze the ingest shard. It keeps answering queries but takes
-  // no further inserts (new ones go to a fresh ingest shard).
-  {
-    std::unique_lock<std::shared_mutex> lock(state_mutex_);
-    if (promoting_ == nullptr) {  // non-null: retrying a failed promotion
-      if (ingest_ == nullptr || ingest_->size() == 0) return Status::OK();
-      promoting_ = std::move(ingest_);
-      promoting_base_ = ingest_base_;
-      // Tombstones travel with their rows; nothing is purged here, so the
-      // promoted shard keeps the contiguous global-id range the merge
-      // invariant relies on.
-      promoting_deleted_ = std::move(ingest_deleted_);
-      promoting_num_deleted_ = ingest_num_deleted_;
-      ingest_deleted_.clear();
-      ingest_num_deleted_ = 0;
-      ingest_base_ = next_global_id_;
-    }
-  }
-
-  // Phase 2: rebuild as an immutable shard with the service's method and
-  // global parameters — outside the lock, so queries proceed throughout.
-  std::vector<Record> records;
-  records.reserve(promoting_->size());
-  for (size_t i = 0; i < promoting_->size(); ++i) {
-    records.push_back(promoting_->record(static_cast<RecordId>(i)));
-  }
-  // Ingest normalised every record on the way in (MakeRecord), so the
-  // gathered rows need no re-validation.
-  Result<Dataset> dataset =
-      Dataset::CreateFromNormalized(std::move(records), "promoted");
-  if (!dataset.ok()) return dataset.status();
-  auto shard_dataset = std::make_unique<Dataset>(std::move(dataset.value()));
-  Result<std::unique_ptr<ContainmentSearcher>> searcher =
-      BuildShardSearcher(*shard_dataset, config_.num_threads);
-  if (!searcher.ok()) return searcher.status();
-  std::vector<RecordId> ids(shard_dataset->size());
-  std::iota(ids.begin(), ids.end(), promoting_base_);
-
-  // Phase 3: swap in and invalidate the cache (scores of the promoted
-  // records change representation: dynamic estimate -> method score).
-  {
-    std::unique_lock<std::shared_mutex> lock(state_mutex_);
-    Shard promoted;
-    promoted.active = std::make_shared<ActiveShard>();
-    promoted.active->dataset = std::move(shard_dataset);
-    promoted.active->searcher = std::move(searcher.value());
-    promoted.global_ids = std::move(ids);
-    // The mask's CURRENT value under this lock — it may have grown since
-    // phase 1 (Delete on the promoting range interleaves with the build);
-    // local rows are iota either way, so indices line up.
-    promoted.deleted = std::move(promoting_deleted_);
-    if (!promoted.deleted.empty()) {
-      promoted.deleted.resize(promoted.global_ids.size(), 0);
-    }
-    promoted.num_deleted = promoting_num_deleted_;
-    promoting_deleted_.clear();
-    promoting_num_deleted_ = 0;
-    shards_.push_back(std::move(promoted));
-    promoting_.reset();
-    cache_.Clear();
-    MaybeScheduleCompactionLocked();
-  }
+bool ShardedContainmentService::SealLocked() {
+  if (!has_open_shard_) return false;
+  has_open_shard_ = false;
   Metrics().promotions->Add(1);
-  Metrics().promotion_ns->Record(timer.ElapsedNanos());
-  return Status::OK();
+  MaybeScheduleCompactionLocked();
+  return true;
 }
 
 Status ShardedContainmentService::Promote() {
-  // Join (and swallow) any background work: if a promotion failed,
-  // DoPromote below retries the frozen shard — that is what the
-  // promoting_-non-null branch exists for. The background status stays
-  // readable through WaitForBackgroundWork until consumed.
-  std::future<void> pending;
-  {
-    std::unique_lock<std::shared_mutex> lock(state_mutex_);
-    pending = std::move(background_task_);
-  }
-  if (pending.valid()) pending.get();
-  if (promotion_in_flight_.exchange(true)) {
-    return Status::FailedPrecondition("a promotion is already in flight");
-  }
-  const Status status = DoPromote();
-  promotion_in_flight_.store(false);
-  return status;
+  std::unique_lock<std::shared_mutex> lock(state_mutex_);
+  SealLocked();
+  return Status::OK();
 }
 
 std::pair<size_t, size_t>
 ShardedContainmentService::PickCompactionRangeLocked() const {
+  // Only sealed shards are candidates: the open shard is replaced by every
+  // Ingest, so it must never sit inside a range a compaction captured.
+  const size_t sealed = SealedCountLocked();
   // Tiered trigger first: the maximal newest-first suffix run of promoted
   // shards where each older shard is at most tier_ratio times the rows
   // accumulated so far — the LSM "merge shards of similar size" rule, with
@@ -961,8 +893,8 @@ ShardedContainmentService::PickCompactionRangeLocked() const {
   const double ratio = config_.sharded.compaction_tier_ratio;
   const size_t min_run =
       std::max<size_t>(2, config_.sharded.compaction_min_shards);
-  if (ratio > 0.0 && shards_.size() >= base_shard_count_ + min_run) {
-    size_t lo = shards_.size() - 1;
+  if (ratio > 0.0 && sealed >= base_shard_count_ + min_run) {
+    size_t lo = sealed - 1;
     double run = static_cast<double>(shards_[lo].global_ids.size());
     while (lo > base_shard_count_ &&
            static_cast<double>(shards_[lo - 1].global_ids.size()) <=
@@ -970,15 +902,15 @@ ShardedContainmentService::PickCompactionRangeLocked() const {
       --lo;
       run += static_cast<double>(shards_[lo].global_ids.size());
     }
-    if (shards_.size() - lo >= min_run) return {lo, shards_.size()};
+    if (sealed - lo >= min_run) return {lo, sealed};
   }
   // Purge trigger: rewrite the shard with the highest tombstone fraction
-  // once it crosses the threshold (single-shard "merge", any shard).
+  // once it crosses the threshold (single-shard "merge", any sealed shard).
   const double purge = config_.sharded.tombstone_purge_threshold;
   if (purge > 0.0) {
-    size_t best = shards_.size();
+    size_t best = sealed;
     double best_fraction = 0.0;
-    for (size_t s = 0; s < shards_.size(); ++s) {
+    for (size_t s = 0; s < sealed; ++s) {
       const size_t rows = shards_[s].global_ids.size();
       if (rows == 0 || shards_[s].num_deleted == 0) continue;
       const double fraction = static_cast<double>(shards_[s].num_deleted) /
@@ -988,7 +920,7 @@ ShardedContainmentService::PickCompactionRangeLocked() const {
         best_fraction = fraction;
       }
     }
-    if (best < shards_.size()) return {best, best + 1};
+    if (best < sealed) return {best, best + 1};
   }
   return {0, 0};
 }
@@ -1001,9 +933,9 @@ void ShardedContainmentService::MaybeScheduleCompactionLocked() {
   if (background_pool_ == nullptr) {
     background_pool_ = std::make_unique<ThreadPool>(1);
   }
-  // The captured range stays valid until the task runs: promotions only
-  // append, concurrent compactions are excluded by the token, and every
-  // synchronous mutation joins background_task_ first.
+  // The captured range stays valid until the task runs: Ingest only
+  // replaces or appends the open shard past it, concurrent compactions are
+  // excluded by the token, and Compact joins background_task_ first.
   background_task_ = background_pool_->Submit([this, lo = lo, hi = hi] {
     size_t purged = 0;
     const Status status = DoCompactRange(lo, hi, &purged);
@@ -1035,26 +967,15 @@ Status ShardedContainmentService::DoCompactRange(size_t lo, size_t hi,
   size_t purged = 0;
   {
     std::shared_lock<std::shared_mutex> lock(state_mutex_);
-    GBKMV_CHECK(hi <= shards_.size());
+    GBKMV_CHECK(hi <= SealedCountLocked());
     for (size_t s = lo; s < hi; ++s) {
       const Shard& shard = shards_[s];
       Result<std::shared_ptr<ActiveShard>> pin = PinShard(shard);
       if (!pin.ok()) return pin.status();
-      // Mapped payloads keep the dataset on disk; read it back for the
-      // merge (promotion-produced shards always hold theirs in memory).
       std::unique_ptr<Dataset> reread;
-      const Dataset* dataset = pin.value()->dataset.get();
-      if (dataset == nullptr) {
-        Result<std::unique_ptr<Dataset>> loaded =
-            LoadDatasetFromSnapshotFile(shard.snapshot_path);
-        if (!loaded.ok()) return loaded.status();
-        reread = std::move(loaded.value());
-        dataset = reread.get();
-      }
-      if (dataset->size() != shard.global_ids.size()) {
-        return Status::Corruption("shard dataset size disagrees with its "
-                                  "global-id map");
-      }
+      Result<const Dataset*> rows = ShardRows(shard, **pin, &reread);
+      if (!rows.ok()) return rows.status();
+      const Dataset* dataset = rows.value();
       captured.push_back(shard.deleted);
       std::vector<uint32_t>& map = remap.emplace_back(
           shard.global_ids.size(), std::numeric_limits<uint32_t>::max());
@@ -1072,64 +993,30 @@ Status ShardedContainmentService::DoCompactRange(size_t lo, size_t hi,
   }
 
   // Phase B (unlocked — queries proceed throughout): build the merged
-  // payload. GB-KMV/G-KMV shards merge at the index level — flat sketch
-  // rows concatenated minus tombstones, postings rebuilt by the
-  // deterministic two-pass count/scatter — with no record re-sketched;
-  // the pins keep every source searcher alive for the copy. Other methods
-  // rebuild deterministically over the surviving records.
-  std::unique_ptr<Dataset> shard_dataset;
-  std::unique_ptr<ContainmentSearcher> merged_searcher;
+  // payload; the pins keep every source searcher alive for the copy.
+  std::shared_ptr<ActiveShard> merged_payload;
   if (!records.empty()) {
-    // The union gathers rows from shard datasets that were validated when
-    // they were created; CreateFromNormalized skips the per-element
-    // re-check, and the merged searcher reuses the pinned sketcher so the
-    // union's frequency tables are never derived either.
-    Result<Dataset> dataset =
-        Dataset::CreateFromNormalized(std::move(records), "compacted");
-    if (!dataset.ok()) return dataset.status();
-    shard_dataset = std::make_unique<Dataset>(std::move(dataset.value()));
-    if (config_.method == SearchMethod::kGbKmv ||
-        config_.method == SearchMethod::kGKmv) {
-      std::vector<GbKmvIndexSearcher::MergeSource> sources;
-      sources.reserve(pins.size());
-      for (size_t k = 0; k < pins.size(); ++k) {
-        const auto* flat =
-            dynamic_cast<const GbKmvIndexSearcher*>(pins[k]->searcher.get());
-        if (flat == nullptr) {
-          sources.clear();
-          break;
-        }
-        sources.push_back({flat, &captured[k]});
-      }
-      if (!sources.empty()) {
-        Result<std::unique_ptr<GbKmvIndexSearcher>> merged =
-            GbKmvIndexSearcher::Merge(sources, *shard_dataset);
-        if (!merged.ok()) return merged.status();
-        merged_searcher = std::move(merged.value());
-      }
+    std::vector<MergeInput> sources;
+    sources.reserve(pins.size());
+    for (size_t k = 0; k < pins.size(); ++k) {
+      sources.push_back({pins[k].get(), &captured[k]});
     }
-    if (merged_searcher == nullptr) {
-      Result<std::unique_ptr<ContainmentSearcher>> searcher =
-          BuildShardSearcher(*shard_dataset, config_.num_threads);
-      if (!searcher.ok()) return searcher.status();
-      merged_searcher = std::move(searcher.value());
-    }
+    Result<std::shared_ptr<ActiveShard>> built = BuildShard(
+        std::move(records), "compacted", config_.num_threads, sources);
+    if (!built.ok()) return built.status();
+    merged_payload = std::move(built.value());
   }
 
-  // Phase C (unique lock): swap the range for the merged shard. A
-  // promotion may have appended shards past `hi` meanwhile — newcomers
-  // stay at the tail untouched — and deletes may have tombstoned source
+  // Phase C (unique lock): swap the range for the merged shard. Ingest may
+  // have replaced or appended the open shard past `hi` meanwhile — it stays
+  // at the tail untouched — and deletes may have tombstoned source
   // rows after the capture: those rows survived the purge, so their
   // tombstones remap onto the merged shard.
   {
     std::unique_lock<std::shared_mutex> lock(state_mutex_);
     Shard merged;
     merged.global_ids = std::move(ids);
-    if (shard_dataset != nullptr) {
-      merged.active = std::make_shared<ActiveShard>();
-      merged.active->dataset = std::move(shard_dataset);
-      merged.active->searcher = std::move(merged_searcher);
-    }
+    merged.active = std::move(merged_payload);
     for (size_t k = 0; k < remap.size(); ++k) {
       const Shard& source = shards_[lo + k];
       for (size_t i = 0; i < source.deleted.size(); ++i) {
@@ -1173,12 +1060,7 @@ Status ShardedContainmentService::CompactInternal(
   // Join background work but do not let an old failure veto this
   // compaction (the stored status stays readable via
   // WaitForBackgroundWork).
-  std::future<void> pending;
-  {
-    std::unique_lock<std::shared_mutex> lock(state_mutex_);
-    pending = std::move(background_task_);
-  }
-  if (pending.valid()) pending.get();
+  JoinBackgroundTask();
   if (compaction_in_flight_.exchange(true)) {
     return Status::FailedPrecondition("a compaction is already in flight");
   }
@@ -1188,7 +1070,7 @@ Status ShardedContainmentService::CompactInternal(
     std::shared_lock<std::shared_mutex> lock(state_mutex_);
     if (options.all) {
       lo = base_shard_count_;
-      hi = shards_.size();
+      hi = SealedCountLocked();
       // One promoted shard is only worth rewriting when it has tombstones
       // to purge; zero promoted shards is always a no-op.
       if (hi - lo < 2 && (hi == lo || shards_[lo].num_deleted == 0)) {
@@ -1224,11 +1106,8 @@ Result<MutationResult> ShardedContainmentService::Apply(
     case MutationKind::kPromote: {
       MutationResult result;
       result.kind = MutationKind::kPromote;
-      {
-        std::shared_lock<std::shared_mutex> lock(state_mutex_);
-        result.noop = ingest_ == nullptr || ingest_->size() == 0;
-      }
-      if (Status status = Promote(); !status.ok()) return status;
+      std::unique_lock<std::shared_mutex> lock(state_mutex_);
+      result.noop = !SealLocked();
       return result;
     }
     case MutationKind::kCompact: {
@@ -1243,7 +1122,7 @@ Result<MutationResult> ShardedContainmentService::Apply(
   return Status::InvalidArgument("unknown mutation kind");
 }
 
-Status ShardedContainmentService::WaitForBackgroundWork() {
+void ShardedContainmentService::JoinBackgroundTask() {
   std::future<void> pending;
   {
     std::unique_lock<std::shared_mutex> lock(state_mutex_);
@@ -1251,42 +1130,44 @@ Status ShardedContainmentService::WaitForBackgroundWork() {
   }
   // get() outside the lock: background tasks need the lock to finish.
   if (pending.valid()) pending.get();
+}
+
+Status ShardedContainmentService::WaitForBackgroundWork() {
+  JoinBackgroundTask();
   // Consume-once: report the stored status and reset it, so one failed
   // background task is surfaced exactly once instead of failing every
-  // later wait (a frozen shard itself stays retryable via Promote).
+  // later wait.
   std::unique_lock<std::shared_mutex> lock(state_mutex_);
   return std::exchange(background_status_, Status::OK());
 }
 
 size_t ShardedContainmentService::num_shards() const {
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  return shards_.size();
+  return SealedCountLocked();
 }
 
 size_t ShardedContainmentService::size() const {
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  size_t total = promoting_ ? promoting_->size() : 0;
-  if (ingest_) total += ingest_->size();
+  size_t total = 0;
   for (const Shard& shard : shards_) total += shard.global_ids.size();
   return total;
 }
 
 size_t ShardedContainmentService::num_tombstones() const {
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  size_t total = ingest_num_deleted_ + promoting_num_deleted_;
+  size_t total = 0;
   for (const Shard& shard : shards_) total += shard.num_deleted;
   return total;
 }
 
 size_t ShardedContainmentService::ingest_size() const {
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  return ingest_ ? ingest_->size() : 0;
+  return has_open_shard_ ? shards_.back().global_ids.size() : 0;
 }
 
 uint64_t ShardedContainmentService::SpaceUnits() const {
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  uint64_t total = promoting_ ? promoting_->SpaceUnits() : 0;
-  if (ingest_) total += ingest_->SpaceUnits();
+  uint64_t total = 0;
   // Resident storage only: an evicted shard's payload lives on disk, which
   // is the point of the resident-shard budget.
   std::lock_guard<std::mutex> resident(resident_mutex_);
@@ -1319,10 +1200,6 @@ ShardView ShardedContainmentService::shard(size_t i) const {
 
 Status ShardedContainmentService::Save(const std::string& dir) const {
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  if (promoting_ != nullptr) {
-    return Status::FailedPrecondition(
-        "a promotion is in flight; call WaitForBackgroundWork before Save");
-  }
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
@@ -1343,7 +1220,6 @@ Status ShardedContainmentService::Save(const std::string& dir) const {
   out->PutU64(config_.seed);
   out->PutU64(config_.sharded.cache_capacity);
   out->PutU64(config_.sharded.auto_promote_records);
-  out->PutU64(ingest_budget_units_);
   out->PutU64(minhash_size_hint_);
   out->PutU64(next_global_id_);
   out->PutU64(base_shard_count_);
@@ -1405,28 +1281,16 @@ Status ShardedContainmentService::Save(const std::string& dir) const {
     if (!saved.ok()) return saved;
   }
 
-  const bool has_ingest = ingest_ != nullptr && ingest_->size() > 0;
-  out->PutBool(has_ingest);
-  if (has_ingest) {
-    out->PutString("ingest.snap");
-    out->PutU64(ingest_base_);
-    // Manifest v2: ingest-shard tombstones (deleted local ids).
-    out->PutVecU32(DeletedLocalIds(ingest_deleted_));
-    const Status saved = ingest_->Save(dir + "/ingest.snap");
-    if (!saved.ok()) return saved;
-  }
+  // Manifest v3: whether the last shard is the open one, so a reload keeps
+  // folding Ingest into it (and ingest_size() survives the round trip).
+  out->PutBool(has_open_shard_);
 
   return manifest.WriteTo(dir + "/manifest.snap");
 }
 
 Result<std::unique_ptr<ShardedContainmentService>>
-ShardedContainmentService::Load(const std::string& dir) {
-  return Load(dir, LoadOptions{});
-}
-
-Result<std::unique_ptr<ShardedContainmentService>>
 ShardedContainmentService::Load(const std::string& dir,
-                                const LoadOptions& options) {
+                                const ServiceOptions& options) {
   Result<io::SnapshotReader> manifest =
       io::SnapshotReader::Open(dir + "/manifest.snap");
   if (!manifest.ok()) return manifest.status();
@@ -1458,7 +1322,6 @@ ShardedContainmentService::Load(const std::string& dir,
   uint64_t buffer_bits = 0;
   uint64_t cache_capacity = 0;
   uint64_t auto_promote = 0;
-  uint64_t ingest_budget = 0;
   uint64_t minhash_hint = 0;
   uint64_t next_global_id = 0;
   uint64_t base_shard_count = 0;
@@ -1472,7 +1335,11 @@ ShardedContainmentService::Load(const std::string& dir,
   if (Status s = in->GetU64(&config.seed); !s.ok()) return s;
   if (Status s = in->GetU64(&cache_capacity); !s.ok()) return s;
   if (Status s = in->GetU64(&auto_promote); !s.ok()) return s;
-  if (Status s = in->GetU64(&ingest_budget); !s.ok()) return s;
+  if (version < 3) {
+    // The retired separate ingest shard's sketch budget; unused now.
+    uint64_t legacy_budget_units = 0;
+    if (Status s = in->GetU64(&legacy_budget_units); !s.ok()) return s;
+  }
   if (Status s = in->GetU64(&minhash_hint); !s.ok()) return s;
   if (Status s = in->GetU64(&next_global_id); !s.ok()) return s;
   if (Status s = in->GetU64(&base_shard_count); !s.ok()) return s;
@@ -1493,7 +1360,6 @@ ShardedContainmentService::Load(const std::string& dir,
   config.sharded.partitioner = static_cast<ShardPartitioner>(partitioner);
   config.sharded.cache_capacity = static_cast<size_t>(cache_capacity);
   config.sharded.auto_promote_records = static_cast<size_t>(auto_promote);
-  config.sharded.ingest_budget_units = ingest_budget;
   // Serve-time knobs, not index parameters: resident budgets come from the
   // caller, never the manifest. Lifecycle policy knobs: a non-zero caller
   // value wins, otherwise the manifest's (v1 manifests carry none, so the
@@ -1518,10 +1384,8 @@ ShardedContainmentService::Load(const std::string& dir,
 
   std::unique_ptr<ShardedContainmentService> service(
       new ShardedContainmentService(config));
-  service->ingest_budget_units_ = ingest_budget;
   service->minhash_size_hint_ = static_cast<size_t>(minhash_hint);
   service->next_global_id_ = static_cast<RecordId>(next_global_id);
-  service->ingest_base_ = service->next_global_id_;
 
   bool has_sketcher = false;
   if (Status s = in->GetBool(&has_sketcher); !s.ok()) return s;
@@ -1535,6 +1399,24 @@ ShardedContainmentService::Load(const std::string& dir,
         std::make_unique<GbKmvSketcher>(std::move(sketcher.value()));
   }
 
+  // A manifest deleted-local-id list -> the shard's tombstone mask.
+  const auto decode_tombstones = [](const std::vector<uint32_t>& ids,
+                                    const std::string& filename,
+                                    Shard* shard) {
+    if (!ids.empty()) shard->deleted.assign(shard->global_ids.size(), 0);
+    for (const uint32_t local : ids) {
+      if (local >= shard->global_ids.size()) {
+        return Status::Corruption("manifest tombstones a local id past "
+                                  "shard " + filename + "'s row count");
+      }
+      if (shard->deleted[local] == 0) {
+        shard->deleted[local] = 1;
+        ++shard->num_deleted;
+      }
+    }
+    return Status::OK();
+  };
+
   uint64_t num_shards = 0;
   if (Status s = in->GetU64(&num_shards); !s.ok()) return s;
   service->shards_.reserve(num_shards);
@@ -1546,19 +1428,9 @@ ShardedContainmentService::Load(const std::string& dir,
     if (version >= 2) {
       std::vector<uint32_t> deleted_ids;
       if (Status s = in->GetVecU32(&deleted_ids); !s.ok()) return s;
-      if (!deleted_ids.empty()) {
-        shard.deleted.assign(shard.global_ids.size(), 0);
-        for (const uint32_t local : deleted_ids) {
-          if (local >= shard.global_ids.size()) {
-            return Status::Corruption("manifest tombstones a local id past "
-                                      "shard " +
-                                      filename + "'s row count");
-          }
-          if (shard.deleted[local] == 0) {
-            shard.deleted[local] = 1;
-            ++shard.num_deleted;
-          }
-        }
+      if (Status s = decode_tombstones(deleted_ids, filename, &shard);
+          !s.ok()) {
+        return s;
       }
     }
     const std::string path = dir + "/" + filename;
@@ -1595,35 +1467,47 @@ ShardedContainmentService::Load(const std::string& dir,
   service->config_.sharded.num_shards =
       std::max<size_t>(1, service->base_shard_count_);
 
-  bool has_ingest = false;
-  if (Status s = in->GetBool(&has_ingest); !s.ok()) return s;
-  if (has_ingest) {
-    std::string filename;
-    uint64_t ingest_base = 0;
-    if (Status s = in->GetString(&filename); !s.ok()) return s;
-    if (Status s = in->GetU64(&ingest_base); !s.ok()) return s;
-    std::vector<uint32_t> deleted_ids;
-    if (version >= 2) {
-      if (Status s = in->GetVecU32(&deleted_ids); !s.ok()) return s;
+  if (version >= 3) {
+    bool last_open = false;
+    if (Status s = in->GetBool(&last_open); !s.ok()) return s;
+    if (last_open && service->shards_.size() <= service->base_shard_count_) {
+      return Status::Corruption("manifest marks a base shard open");
     }
-    Result<std::unique_ptr<DynamicGbKmvIndex>> ingest =
-        DynamicGbKmvIndex::Load(dir + "/" + filename);
-    if (!ingest.ok()) return ingest.status();
-    service->ingest_ = std::move(ingest.value());
-    service->ingest_base_ = static_cast<RecordId>(ingest_base);
-    if (!deleted_ids.empty()) {
-      service->ingest_deleted_.assign(service->ingest_->size(), 0);
-      for (const uint32_t local : deleted_ids) {
-        if (local >= service->ingest_->size()) {
-          return Status::Corruption(
-              "manifest tombstones a local id past the ingest shard's "
-              "row count");
-        }
-        if (service->ingest_deleted_[local] == 0) {
-          service->ingest_deleted_[local] = 1;
-          ++service->ingest_num_deleted_;
-        }
+    service->has_open_shard_ = last_open;
+  } else {
+    // Manifest v1/v2: an optional separate ingest shard. Its rows and
+    // tombstones become one sealed shard built like every other.
+    bool has_ingest = false;
+    if (Status s = in->GetBool(&has_ingest); !s.ok()) return s;
+    if (has_ingest) {
+      std::string filename;
+      uint64_t ingest_base = 0;
+      std::vector<uint32_t> deleted_ids;
+      if (Status s = in->GetString(&filename); !s.ok()) return s;
+      if (Status s = in->GetU64(&ingest_base); !s.ok()) return s;
+      if (version >= 2) {
+        if (Status s = in->GetVecU32(&deleted_ids); !s.ok()) return s;
       }
+      Result<std::vector<Record>> rows =
+          LoadLegacyIngestRows(dir + "/" + filename);
+      if (!rows.ok()) return rows.status();
+      if (ingest_base + rows->size() > next_global_id) {
+        return Status::Corruption("legacy ingest shard ids run past the "
+                                  "manifest's next global id");
+      }
+      Shard shard;
+      shard.global_ids.resize(rows->size());
+      std::iota(shard.global_ids.begin(), shard.global_ids.end(),
+                static_cast<RecordId>(ingest_base));
+      Result<std::shared_ptr<ActiveShard>> active = service->BuildShard(
+          std::move(rows.value()), "ingest", config.num_threads);
+      if (!active.ok()) return active.status();
+      shard.active = std::move(active.value());
+      if (Status s = decode_tombstones(deleted_ids, filename, &shard);
+          !s.ok()) {
+        return s;
+      }
+      service->shards_.push_back(std::move(shard));
     }
   }
   {
@@ -1700,7 +1584,7 @@ void ShardedContainmentService::EvictOverBudgetLocked(
       ++resident;
       bytes += shard.active->resident_bytes;
       // Never the shard being pinned, and never a shard with no snapshot
-      // to come back from (built or promoted in memory).
+      // to come back from (built, compacted or folded in memory).
       if (&shard == keep || shard.snapshot_path.empty()) continue;
       if (victim == nullptr || shard.lru_stamp < victim->lru_stamp) {
         victim = &shard;

@@ -18,24 +18,24 @@
 // (docs/sharding.md "Shard lifecycle"), driven through the typed mutation
 // API in serve/mutation.h:
 //   * an LRU query-result cache (serve/query_cache.h), invalidated in full
-//     on every mutation;
-//   * a mutable ingest shard (DynamicGbKmvIndex) for live inserts, promoted
-//     — synchronously or in the background — into an immutable shard built
-//     with the service's own method and global parameters;
+//     on every mutation that can change a response;
+//   * an open shard for live inserts: an ordinary shard at the back, built
+//     like every other, into which each Ingest folds one freshly sketched
+//     row. Promote() seals it; nothing is rebuilt, so answers never change;
 //   * tombstone deletes: Delete(id) marks the record in a per-shard
 //     deleted-id mask; serving filters tombstoned hits (hits and scores
 //     stay bit-identical to an index without the record), and the rows are
 //     physically purged at the next merge touching their shard;
-//   * merge compaction: promoted GB-KMV shards merge at the index level
+//   * merge compaction: sealed GB-KMV shards merge at the index level
 //     (GbKmvIndexSearcher::Merge — flat sketch rows concatenated minus
 //     tombstones, postings rebuilt by a deterministic two-pass
 //     count/scatter; no record is re-sketched), with a size-ratio tiered
 //     policy (ServiceOptions::compaction_tier_ratio) running the merges on
-//     the background pool under the same freeze -> build-unlocked -> swap
-//     discipline as promotion, so queries never block;
+//     the background pool under a freeze -> build-unlocked -> swap
+//     discipline, so queries never block;
 //   * a versioned shard-manifest snapshot (Save/Load) reusing the src/io
-//     section container — tombstones included — so a whole service
-//     round-trips through disk;
+//     section container — tombstones and the open shard included — so a
+//     whole service round-trips through disk;
 //   * lazy shard activation with a resident-shard LRU
 //     (config.sharded.max_resident_shards / max_resident_bytes): a loaded
 //     service reads only the manifest up front, maps each shard's snapshot
@@ -46,7 +46,7 @@
 //     reactivate transparently on their next query.
 //
 // Thread safety: Serve/BatchServe may run concurrently with each other and
-// with background promotion; Ingest/Promote/Compact/Save serialise against
+// with background compaction; Ingest/Promote/Compact/Save serialise against
 // queries internally. One service, many reader threads, any number of
 // (externally serialised) writers.
 
@@ -66,7 +66,6 @@
 #include "common/thread_pool.h"
 #include "core/containment.h"
 #include "data/dataset.h"
-#include "index/dynamic_index.h"
 #include "index/searcher.h"
 #include "serve/mutation.h"
 #include "serve/query_cache.h"
@@ -80,8 +79,8 @@ class MmapSnapshot;
 
 namespace serve {
 
-// Read-only view of one immutable shard (bench/introspection; do not hold
-// across mutations).
+// Read-only view of one shard (bench/introspection; do not hold across
+// mutations).
 struct ShardView {
   const ContainmentSearcher* searcher = nullptr;
   std::span<const RecordId> global_ids;
@@ -97,9 +96,9 @@ class ShardedContainmentService {
 
   ~ShardedContainmentService();
 
-  // One query: cache lookup, fan-out over all live shards (immutable +
-  // promoting + ingest) on up to num_threads workers (0 = DefaultThreads),
-  // global merge, cache fill. Response ordering contract in serve/merge.h.
+  // One query: cache lookup, fan-out over all live shards (sealed + open)
+  // on up to num_threads workers (0 = DefaultThreads), global merge, cache
+  // fill. Response ordering contract in serve/merge.h.
   QueryResponse Serve(const QueryRequest& request, size_t num_threads = 0);
 
   // Batch engine: results[i] carries exactly the hits, scores and index
@@ -115,9 +114,11 @@ class ShardedContainmentService {
 
   // --- mutation API (serve/mutation.h; one error taxonomy) ---------------
 
-  // Appends a record to the mutable ingest shard and returns its global id
-  // (InvalidArgument for an empty record). Invalidates the query cache.
-  // May trigger background promotion (config.sharded.auto_promote_records).
+  // Appends a record to the open shard and returns its global id
+  // (InvalidArgument for an empty record); it answers exactly like a fresh
+  // build over the live records from then on. The fold costs time linear
+  // in the open shard's rows, so the open shard seals itself at
+  // SealRows() rows. Invalidates the query cache.
   Result<RecordId> Ingest(Record record);
 
   // Tombstones the record with global id `id`: it stops appearing in query
@@ -129,14 +130,13 @@ class ShardedContainmentService {
   // (ServiceOptions::tombstone_purge_threshold).
   Result<MutationResult> Delete(RecordId id);
 
-  // Freezes the current ingest shard and rebuilds it as an immutable shard
-  // (service method + global parameters); queries keep seeing the ingested
-  // records throughout, and live tombstones carry over unpurged. No-op
-  // when the ingest shard is empty. May trigger a background tiered
-  // compaction (ServiceOptions::compaction_tier_ratio).
+  // Seals the open shard: it takes no further rows and becomes eligible
+  // for compaction. Nothing is rebuilt, so answers do not change. No-op
+  // without an open shard. May trigger a background tiered compaction
+  // (ServiceOptions::compaction_tier_ratio).
   Status Promote();
 
-  // Merge-compacts promoted shards into one — at the index level for
+  // Merge-compacts sealed promoted shards into one — at the index level for
   // GB-KMV/G-KMV (GbKmvIndexSearcher::Merge, no re-sketching), by a
   // deterministic rebuild over the surviving records for the other
   // methods — purging every tombstone in the merged range. options.all
@@ -149,20 +149,22 @@ class ShardedContainmentService {
   // Uniform dispatch of the typed mutation vocabulary.
   Result<MutationResult> Apply(const MutationRequest& request);
 
-  // Deprecated shims, kept for one PR: the pre-lifecycle spellings of
-  // Promote() and Compact({.all = true}).
-  Status PromoteIngest() { return Promote(); }
-  Status CompactPromoted() { return Compact(CompactOptions{.all = true}); }
-
-  // Blocks until any in-flight background promotion or compaction finishes
-  // and returns its status (OK when none ran).
+  // Blocks until any in-flight background compaction finishes and returns
+  // its status (OK when none ran).
   Status WaitForBackgroundWork();
 
-  // Immutable shards currently live (original partition + promotions).
+  // Rows at which the open shard seals itself:
+  // config.sharded.auto_promote_records, or kDefaultSealRows when that is 0.
+  static constexpr size_t kDefaultSealRows = 1024;
+  size_t SealRows() const;
+
+  // Sealed shards currently live (original partition + promotions); the
+  // open shard is not counted.
   size_t num_shards() const;
-  // Records across immutable shards + ingest (tombstoned rows included
+  // Records across all shards, open included (tombstoned rows included
   // until their physical purge).
   size_t size() const;
+  // Rows of the open shard (0 when there is none).
   size_t ingest_size() const;
   // Live tombstones across every shard (marked, not yet purged).
   size_t num_tombstones() const;
@@ -171,40 +173,33 @@ class ShardedContainmentService {
   const SearcherConfig& config() const { return config_; }
   QueryCacheStats cache_stats() const { return cache_.stats(); }
 
-  // Immutable shard i; bench/test introspection only.
+  // Shard i (sealed shards first, the open shard last); bench/test
+  // introspection only.
   ShardView shard(size_t i) const;
 
   // Shard-manifest persistence: writes `dir/manifest.snap` plus one
-  // snapshot per shard (searcher snapshot when the method supports it,
-  // dataset snapshot + rebuild-on-load otherwise) and `dir/ingest.snap`
-  // when the ingest shard is non-empty. Load restores a service that
-  // answers bit-identically and resumes Ingest with identical behaviour.
-  // The manifest meta kind is io::kShardedManifestKind.
+  // snapshot per shard, the open shard included (searcher snapshot when the
+  // method supports it, dataset snapshot + rebuild-on-load otherwise).
+  // Load restores a service that answers bit-identically and resumes
+  // Ingest with identical behaviour. The manifest meta kind is
+  // io::kShardedManifestKind; docs/snapshot_format.md has every version
+  // (v1/v2 still load — their separate ingest shard becomes one sealed
+  // shard built with the service's method).
   //
   // With options.max_resident_shards / max_resident_bytes non-zero, Load
   // returns after reading only the manifest (shard files are checked to
   // exist but not opened); shards activate on first query. An activation
   // that fails later — the snapshot was deleted or corrupted after Load —
   // is a fatal check: there is no per-response error channel, and serving
-  // without the shard would silently drop its records.
-  // Version 2 appends the lifecycle state: the compaction/purge knobs and
-  // one deleted-local-id list per shard (and for the ingest shard).
-  // Version-1 manifests still load (no tombstones, default knobs).
-  static constexpr uint32_t kManifestVersion = 2;
-  // Deprecated alias, kept for one PR: Load used to take a resident-budget
-  // struct of its own; every serve-time knob now lives in ServiceOptions
-  // (core/containment.h).
-  using LoadOptions = ServiceOptions;
+  // without the shard would silently drop its records. The lifecycle knobs
+  // (compaction_tier_ratio with compaction_min_shards,
+  // tombstone_purge_threshold) come from `options` when non-zero and from
+  // the manifest otherwise; the partitioning and index knobs always come
+  // from the manifest.
+  static constexpr uint32_t kManifestVersion = 3;
   Status Save(const std::string& dir) const;
   static Result<std::unique_ptr<ShardedContainmentService>> Load(
-      const std::string& dir);
-  // Serve-time knobs come from `options`: the resident budgets always, and
-  // the lifecycle knobs (compaction_tier_ratio with compaction_min_shards,
-  // tombstone_purge_threshold) whenever the caller sets them non-zero —
-  // zero keeps the values the manifest recorded at Save. The partitioning
-  // and index knobs always come from the manifest.
-  static Result<std::unique_ptr<ShardedContainmentService>> Load(
-      const std::string& dir, const ServiceOptions& options);
+      const std::string& dir, const ServiceOptions& options = {});
 
  private:
   // The resident payload of one shard. Queries pin it with a shared_ptr
@@ -221,8 +216,9 @@ class ShardedContainmentService {
 
   struct Shard {
     // Null when evicted. Guarded by resident_mutex_ (mutable so the const
-    // read paths can activate on demand); global_ids and snapshot_path are
-    // immutable after the shard is constructed and need no extra lock.
+    // read paths can activate on demand). global_ids and snapshot_path
+    // change only under the unique state lock (the open shard's, on each
+    // Ingest) and need no extra lock.
     mutable std::shared_ptr<ActiveShard> active;
     std::vector<RecordId> global_ids;  // ascending
     // Tombstone mask over local rows (empty until the first Delete, then
@@ -245,31 +241,59 @@ class ShardedContainmentService {
   Result<std::unique_ptr<ContainmentSearcher>> BuildShardSearcher(
       const Dataset& shard_dataset, size_t num_threads) const;
 
-  void EnsureIngestLocked();
-  // The promotion worker body; requires the promotion in-flight token.
-  Status DoPromote();
+  // A pinned payload plus its tombstone mask (null keeps every row).
+  struct MergeInput {
+    const ActiveShard* active = nullptr;
+    const std::vector<uint8_t>* deleted = nullptr;
+  };
+  // Builds a resident shard payload over `records` (already normalised)
+  // with the service's method and global parameters. When `records` are
+  // exactly the surviving rows of `sources`, in order, GB-KMV/G-KMV merge
+  // the sources at the index level (GbKmvIndexSearcher::Merge, nothing
+  // re-sketched); otherwise the searcher is built afresh. Either way it
+  // answers bit-identically. Build, Ingest's fold and compaction all use it.
+  Result<std::shared_ptr<ActiveShard>> BuildShard(
+      std::vector<Record> records, std::string name, size_t num_threads,
+      std::span<const MergeInput> sources = {}) const;
+
+  // The rows of a pinned shard: its resident dataset, or one read back
+  // from its snapshot into `*reread` (mapped payloads keep theirs on disk).
+  static Result<const Dataset*> ShardRows(const Shard& shard,
+                                          const ActiveShard& active,
+                                          std::unique_ptr<Dataset>* reread);
+
+  // All shards but the open one. Requires state_mutex_.
+  size_t SealedCountLocked() const {
+    return shards_.size() - (has_open_shard_ ? 1 : 0);
+  }
+  // Seals the open shard; false when there is none. Requires state_mutex_
+  // (unique).
+  bool SealLocked();
 
   // The compaction worker body; requires the compaction in-flight token.
-  // Merges shards [lo, hi) — a single-shard range is a purge rewrite —
-  // into one shard holding the surviving rows in the same order, with the
-  // same freeze -> build-unlocked -> swap discipline as promotion.
+  // Merges sealed shards [lo, hi) — a single-shard range is a purge
+  // rewrite — into one shard holding the surviving rows in the same order,
+  // with a freeze -> build-unlocked -> swap discipline.
   // Tombstones set while the merge builds are re-applied to the merged
   // shard at swap time. `lo == hi` is a no-op. `purged_out` (optional)
   // receives the number of rows physically purged.
   Status DoCompactRange(size_t lo, size_t hi, size_t* purged_out = nullptr);
 
+  // Waits for the latest background task (and so for every earlier one).
+  void JoinBackgroundTask();
+
   // Compact() / Apply(kCompact) body: joins background work, takes the
   // in-flight token (FailedPrecondition when already held), resolves the
-  // range (all promoted shards vs the policy's pick) and runs it, filling
-  // `result` with shards_merged / tombstones_purged / noop.
+  // range (all sealed promoted shards vs the policy's pick) and runs it,
+  // filling `result` with shards_merged / tombstones_purged / noop.
   Status CompactInternal(const CompactOptions& options,
                          MutationResult* result);
 
   // The tiered policy (docs/sharding.md "Shard lifecycle"): the maximal
-  // newest-first suffix run of promoted shards where each older shard is
-  // at most compaction_tier_ratio times the run accumulated so far; {0,0}
+  // newest-first suffix run of sealed promoted shards where each older
+  // shard is at most compaction_tier_ratio times the run so far; {0,0}
   // when shorter than compaction_min_shards. Falls back to the single
-  // most-tombstoned shard past tombstone_purge_threshold. Requires
+  // most-tombstoned sealed shard past tombstone_purge_threshold. Requires
   // state_mutex_ (either mode).
   std::pair<size_t, size_t> PickCompactionRangeLocked() const;
 
@@ -303,28 +327,17 @@ class ShardedContainmentService {
   std::shared_ptr<ThreadPool> ServingPool(size_t num_threads);
 
   SearcherConfig config_;
-  uint64_t ingest_budget_units_ = 0;  // resolved at Build
-  size_t minhash_size_hint_ = 0;      // global max |X| (kMinHashLsh only)
+  size_t minhash_size_hint_ = 0;  // global max |X| (kMinHashLsh only)
   std::unique_ptr<GbKmvSketcher> global_sketcher_;  // kGbKmv/kGKmv only
 
   // Guards every member below it.
   mutable std::shared_mutex state_mutex_;
   std::vector<Shard> shards_;
   size_t base_shard_count_ = 0;  // shards of the original partition
-  // Ingest shard being promoted: still answers queries, takes no inserts.
-  std::unique_ptr<DynamicGbKmvIndex> promoting_;
-  RecordId promoting_base_ = 0;
-  std::unique_ptr<DynamicGbKmvIndex> ingest_;
-  RecordId ingest_base_ = 0;
+  // True when shards_.back() is the open shard: the one Ingest folds rows
+  // into. Compaction never touches it.
+  bool has_open_shard_ = false;
   RecordId next_global_id_ = 0;
-  // Tombstone masks of the dynamic shards, indexed by local row like
-  // Shard::deleted (possibly shorter than the shard — rows past the end
-  // are live). Promotion moves the ingest mask to the promoting slot in
-  // phase 1 and into the new Shard in phase 3.
-  std::vector<uint8_t> ingest_deleted_;
-  size_t ingest_num_deleted_ = 0;
-  std::vector<uint8_t> promoting_deleted_;
-  size_t promoting_num_deleted_ = 0;
 
   QueryResultCache cache_;
 
@@ -337,11 +350,10 @@ class ShardedContainmentService {
   std::shared_ptr<ThreadPool> serving_pool_;
   size_t serving_pool_threads_ = 0;
 
-  std::atomic<bool> promotion_in_flight_{false};
   std::atomic<bool> compaction_in_flight_{false};
-  // One background thread runs promotions and compactions in FIFO order;
-  // background_task_ holds the latest submission's future, and joining it
-  // implies every earlier task finished.
+  // One background thread runs compactions in FIFO order; background_task_
+  // holds the latest submission's future, and joining it implies every
+  // earlier task finished.
   std::unique_ptr<ThreadPool> background_pool_;
   std::future<void> background_task_;
   Status background_status_;  // guarded by state_mutex_

@@ -584,9 +584,9 @@ class Server::Impl {
                    SerializeError(body.status().message()), http);
         return;
       }
-      // Inline on the reactor: an ingest is an O(|record|) append to the
-      // mutable shard (promotion work happens on the service's own
-      // background thread).
+      // Inline on the reactor: an ingest sketches one row and folds it into
+      // the open shard, bounded by the seal size (compaction work happens
+      // on the service's own background thread).
       const ServiceSnapshot snapshot = Snapshot();
       serve::MutationRequest mutation;
       mutation.kind = serve::MutationKind::kIngest;
@@ -669,9 +669,9 @@ class Server::Impl {
       const uint64_t conn_id = conn.id;
       const bool keep_alive = request.keep_alive;
       if (admin_thread_.joinable()) admin_thread_.join();
-      // Off the reactor: promotion joins in-flight background work and
-      // compaction builds the merged shard; queries keep flowing on the
-      // reactors meanwhile (the service swaps under its own lock).
+      // Off the reactor: compaction joins in-flight background work and
+      // builds the merged shard; queries keep flowing on the reactors
+      // meanwhile (the service swaps under its own lock).
       admin_thread_ = std::thread([this, reactor_index, conn_id, seq,
                                    keep_alive, mutation] {
         const ServiceSnapshot snapshot = Snapshot();

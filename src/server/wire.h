@@ -86,7 +86,7 @@ std::string SerializeError(std::string_view message);
 //   /v1/delete:     {"epoch": 3, "id": 17, "deleted": true}
 //                   (deleted=false -> the id was already tombstoned)
 //   /admin/promote: {"epoch": 3, "promoted": true}
-//                   (promoted=false -> ingest shard was empty)
+//                   (promoted=false -> no open shard to seal)
 //   /admin/compact: {"epoch": 3, "shards_merged": 4,
 //                    "tombstones_purged": 9, "noop": false}
 std::string SerializeIngestResult(uint64_t epoch, RecordId id);

@@ -204,7 +204,9 @@ TEST(BatcherTest, ReloadUnderTrafficNeverMixesVersions) {
     QueryResponse response;
   };
   std::mutex obs_mu;
+  std::condition_variable obs_cv;
   std::vector<Observation> observations;
+  size_t seen[3] = {0, 0, 0};  // responses observed per epoch (1, 2)
   std::atomic<bool> stop{false};
 
   constexpr size_t kSubmitters = 3;
@@ -220,8 +222,12 @@ TEST(BatcherTest, ReloadUnderTrafficNeverMixesVersions) {
         query.top_k = kTopK;
         query.want_stats = true;
         query.done = [&, qi](QueryResponse response, uint64_t epoch) {
-          std::lock_guard<std::mutex> lock(obs_mu);
-          observations.push_back({qi, epoch, std::move(response)});
+          {
+            std::lock_guard<std::mutex> lock(obs_mu);
+            if (epoch < 3) ++seen[epoch];
+            observations.push_back({qi, epoch, std::move(response)});
+          }
+          obs_cv.notify_all();
         };
         (void)batcher.Submit(std::move(query));
         ++i;
@@ -229,13 +235,19 @@ TEST(BatcherTest, ReloadUnderTrafficNeverMixesVersions) {
     });
   }
 
-  // Let epoch-1 traffic flow, swap, let epoch-2 traffic flow.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // Let epoch-1 traffic flow, swap, let epoch-2 traffic flow. Each phase
+  // ends only once a response of its epoch has been observed, never after
+  // a fixed sleep, so a slow or contended machine cannot starve an epoch.
+  const auto wait_for_epoch = [&](uint64_t epoch) {
+    std::unique_lock<std::mutex> lock(obs_mu);
+    obs_cv.wait(lock, [&] { return seen[epoch] > 0; });
+  };
+  wait_for_epoch(1);
   {
     std::lock_guard<std::mutex> lock(snapshot_mu);
     snapshot = ServiceSnapshot{service_b, 2};
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  wait_for_epoch(2);
   stop.store(true);
   for (std::thread& t : submitters) t.join();
   batcher.Drain();

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
+#include "data/synthetic.h"
+
 namespace gbkmv {
 namespace {
 
@@ -94,6 +99,80 @@ TEST(DatasetTest, DatasetWithEmptyRecords) {
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds->size(), 2u);
   EXPECT_EQ(ds->total_elements(), 1u);
+}
+
+// The lazily derived blocks (frequency tables, stats, fingerprint) are
+// derived exactly once even when the first accesses race: eight threads
+// hit a fresh dataset at once and all see the values a sequential reader
+// of an identical dataset sees. Index builds reach these accessors from
+// pool workers, so a race here corrupts the heap (run under TSan in CI).
+TEST(DatasetTest, ConcurrentFirstAccessDerivesOnce) {
+  SyntheticConfig config;
+  config.num_records = 2000;
+  config.universe_size = 20000;
+  config.seed = 20261017;
+  const Result<Dataset> source = GenerateSynthetic(config);
+  ASSERT_TRUE(source.ok());
+  Result<Dataset> reference =
+      Dataset::CreateFromNormalized(source->records(), "reference");
+  ASSERT_TRUE(reference.ok());
+  const size_t universe = reference->universe_size();
+  const std::vector<ElementId> by_frequency =
+      reference->elements_by_frequency();
+  const DatasetStats stats = reference->stats();
+  const uint64_t fingerprint = reference->Fingerprint();
+
+  for (int round = 0; round < 4; ++round) {
+    Result<Dataset> fresh =
+        Dataset::CreateFromNormalized(source->records(), "fresh");
+    ASSERT_TRUE(fresh.ok());
+    const Dataset& shared = fresh.value();
+    constexpr size_t kThreads = 8;
+    std::vector<size_t> universes(kThreads);
+    std::vector<std::vector<ElementId>> orders(kThreads);
+    std::vector<DatasetStats> all_stats(kThreads);
+    std::vector<uint64_t> fingerprints(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        // Vary the first accessor per thread so every block is raced.
+        if (t % 2 == 0) all_stats[t] = shared.stats();
+        universes[t] = shared.universe_size();
+        orders[t] = shared.elements_by_frequency();
+        all_stats[t] = shared.stats();
+        fingerprints[t] = shared.Fingerprint();
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(universe, universes[t]);
+      EXPECT_EQ(by_frequency, orders[t]);
+      EXPECT_EQ(stats.num_distinct, all_stats[t].num_distinct);
+      EXPECT_EQ(stats.total_elements, all_stats[t].total_elements);
+      EXPECT_EQ(stats.alpha_element_freq, all_stats[t].alpha_element_freq);
+      EXPECT_EQ(stats.alpha_record_size, all_stats[t].alpha_record_size);
+      EXPECT_EQ(fingerprint, fingerprints[t]);
+    }
+  }
+}
+
+// Copies and moves carry derived blocks along (or derive their own).
+TEST(DatasetTest, CopiesKeepDerivedTables) {
+  Result<Dataset> ds = Dataset::Create(SmallRecords(), "fig1");
+  ASSERT_TRUE(ds.ok());
+  const Dataset underived = ds.value();
+  EXPECT_EQ(8u, ds->num_distinct());
+  const Dataset derived = ds.value();
+  Dataset moved = std::move(ds.value());
+  Dataset assigned;
+  EXPECT_EQ(0u, assigned.num_distinct());
+  assigned = derived;
+  for (const Dataset* copy :
+       std::vector<const Dataset*>{&underived, &derived, &moved, &assigned}) {
+    EXPECT_EQ(8u, copy->num_distinct());
+    EXPECT_EQ(11u, copy->universe_size());
+    EXPECT_EQ(2u, copy->elements_by_frequency().front());
+  }
 }
 
 }  // namespace

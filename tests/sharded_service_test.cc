@@ -18,8 +18,16 @@
 #include "core/containment.h"
 #include "data/synthetic.h"
 #include "eval/ground_truth.h"
+#include "index/brute_force.h"
+#include "index/dynamic_index.h"
+#include "index/freqset.h"
+#include "index/gbkmv_index.h"
+#include "index/minhash_lsh.h"
+#include "index/ppjoin.h"
 #include "index/searcher_registry.h"
+#include "io/snapshot.h"
 #include "obs/metrics.h"
+#include "serve/merge.h"
 #include "serve/partitioner.h"
 #include "serve/query_cache.h"
 #include "serve/sharded_service.h"
@@ -104,6 +112,112 @@ std::vector<RecordId> SortedIds(const std::vector<QueryHit>& hits) {
   for (const QueryHit& hit : hits) ids.push_back(hit.id);
   std::sort(ids.begin(), ids.end());
   return ids;
+}
+
+// A searcher built fresh over exactly the live records (ascending global
+// id) with the service's pinned global parameters — the sketcher
+// (GB-KMV/G-KMV) or record-size hint (MinHash-LSH) that Build derives from
+// the base dataset — answering in global ids through the service's own
+// merge. What a service must match, hits and float scores, after every
+// mutation.
+class FreshReference {
+ public:
+  explicit FreshReference(const SearcherConfig& config) : config_(config) {
+    const Dataset& base = TestDataset();
+    if (config.method == SearchMethod::kGbKmv ||
+        config.method == SearchMethod::kGKmv) {
+      GbKmvIndexOptions options;
+      options.space_ratio = config.space_ratio;
+      options.buffer_bits =
+          config.method == SearchMethod::kGKmv ? 0 : config.buffer_bits;
+      options.seed = config.seed;
+      sketcher_ = std::make_unique<GbKmvSketcher>(
+          GbKmvIndexSearcher::MakeSketcher(base, options).value());
+    }
+    for (const Record& r : base.records()) {
+      minhash_hint_ = std::max(minhash_hint_, r.size());
+    }
+  }
+
+  std::vector<QueryResponse> Serve(
+      const std::map<RecordId, Record>& live,
+      const std::vector<QueryRequest>& requests) const {
+    std::vector<RecordId> gids;
+    std::vector<Record> records;
+    for (const auto& [gid, record] : live) {
+      gids.push_back(gid);
+      records.push_back(record);
+    }
+    const Dataset dataset = Dataset::Create(std::move(records)).value();
+    std::unique_ptr<ContainmentSearcher> searcher;
+    switch (config_.method) {
+      case SearchMethod::kGbKmv:
+      case SearchMethod::kGKmv:
+        searcher =
+            GbKmvIndexSearcher::CreateWithSketcher(dataset, *sketcher_, 1)
+                .value();
+        break;
+      case SearchMethod::kFreqSet:
+        searcher = std::make_unique<FreqSetSearcher>(dataset);
+        break;
+      case SearchMethod::kPPJoin:
+        searcher = std::make_unique<PPJoinSearcher>(dataset);
+        break;
+      case SearchMethod::kBruteForce:
+        searcher = std::make_unique<BruteForceSearcher>(dataset);
+        break;
+      case SearchMethod::kMinHashLsh: {
+        MinHashLshOptions options;
+        options.num_hashes = config_.lshe_num_hashes;
+        options.seed = config_.seed;
+        options.num_threads = 1;
+        options.max_record_size_hint = minhash_hint_;
+        searcher = MinHashLshSearcher::Create(dataset, options).value();
+        break;
+      }
+      default:
+        ADD_FAILURE() << "no reference for this method";
+        return {};
+    }
+    std::vector<QueryResponse> responses;
+    for (const QueryRequest& request : requests) {
+      const QueryResponse local =
+          searcher->SearchQ(request, ThreadLocalQueryContext());
+      const serve::ShardPartial part{&local, gids};
+      responses.push_back(serve::MergeShardResponses(
+          request, std::span<const serve::ShardPartial>(&part, 1)));
+    }
+    return responses;
+  }
+
+ private:
+  SearcherConfig config_;
+  std::unique_ptr<GbKmvSketcher> sketcher_;
+  size_t minhash_hint_ = 0;
+};
+
+// The service's hits (ids and float scores) for threshold and top-k
+// requests over `queries` equal the fresh reference's.
+::testing::AssertionResult MatchesFreshBuild(
+    ShardedContainmentService& service, const FreshReference& reference,
+    const std::map<RecordId, Record>& live,
+    const std::vector<Record>& queries) {
+  for (size_t top_k : {size_t{0}, size_t{5}}) {
+    const std::vector<QueryRequest> requests =
+        MakeRequests(queries, 0.3, top_k, true);
+    const std::vector<QueryResponse> expected =
+        reference.Serve(live, requests);
+    const std::vector<QueryResponse> actual = service.BatchServe(requests, 2);
+    for (size_t i = 0; i < requests.size(); ++i) {
+      if (expected[i].hits != actual[i].hits) {
+        return ::testing::AssertionFailure()
+               << "top_k=" << top_k << " q" << i << ": expected "
+               << expected[i].hits.size() << " hits, served "
+               << actual[i].hits.size();
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 // --- partitioners ---------------------------------------------------------
@@ -466,7 +580,7 @@ TEST(ShardedServiceTest, PromotionKeepsGlobalIdsAndExactScores) {
   }
   EXPECT_EQ(5u, (*service)->ingest_size());
 
-  ASSERT_TRUE((*service)->PromoteIngest().ok());
+  ASSERT_TRUE((*service)->Promote().ok());
   EXPECT_EQ(0u, (*service)->ingest_size());
   EXPECT_EQ(base_shards + 1, (*service)->num_shards());
 
@@ -482,9 +596,9 @@ TEST(ShardedServiceTest, PromotionKeepsGlobalIdsAndExactScores) {
 
   // Second promotion + compaction folds the promoted shards back to one.
   (*service)->Ingest(MakeRecord({8500, 8501, 8502}));
-  ASSERT_TRUE((*service)->PromoteIngest().ok());
+  ASSERT_TRUE((*service)->Promote().ok());
   EXPECT_EQ(base_shards + 2, (*service)->num_shards());
-  ASSERT_TRUE((*service)->CompactPromoted().ok());
+  ASSERT_TRUE((*service)->Compact({.all = true}).ok());
   EXPECT_EQ(base_shards + 1, (*service)->num_shards());
   for (size_t i = 0; i < extra.size(); ++i) {
     QueryRequest request(extra[i], 0.9);
@@ -814,97 +928,223 @@ TEST(ShardLifecycleTest, PurgeThresholdRewritesShardInBackground) {
 }
 
 // Randomized lifecycle soak: interleaved ingest/delete/promote/compact with
-// bookkeeping invariants checked throughout, then an exact-oracle
-// comparison (FreqSet is exact) over the surviving records.
+// bookkeeping invariants checked throughout. After EVERY step the service's
+// answers — hit ids and float scores — equal a fresh build over exactly the
+// live records with the service's pinned parameters: fresh inserts answer
+// like any other row from the moment Ingest returns (for FreqSet, exactly),
+// and no promotion or compaction changes an answer. For FreqSet the end
+// state is also checked against the exact ScanCount oracle.
 TEST(ShardLifecycleTest, RandomizedLifecycleSoakMatchesExactOracle) {
   const Dataset& ds = TestDataset();
-  SearcherConfig config = ServiceConfig(SearchMethod::kFreqSet, 2);
-  config.sharded.cache_capacity = 16;  // exercise invalidation too
+  for (const SearchMethod method :
+       {SearchMethod::kFreqSet, SearchMethod::kGbKmv}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "method " << static_cast<int>(method));
+    SearcherConfig config = ServiceConfig(method, 2);
+    config.sharded.cache_capacity = 16;  // exercise invalidation too
+    config.sharded.auto_promote_records = 7;
+    Result<std::unique_ptr<ShardedContainmentService>> service =
+        serve::BuildShardedService(ds, config);
+    ASSERT_TRUE(service.ok());
+    const FreshReference reference(config);
+
+    std::mt19937_64 rng(20260808);
+    std::map<RecordId, Record> live;
+    for (RecordId id = 0; id < ds.size(); ++id) live[id] = ds.record(id);
+    std::vector<RecordId> dead;
+    RecordId next_gid = ds.size();
+    size_t deleted_total = 0, purged_total = 0;
+    // Base queries plus the most recent ingests, so fresh rows are probed
+    // both as answers and (through perturbed copies) as queries.
+    std::vector<Record> queries = TestQueries(6);
+    std::vector<Record> recent;
+
+    for (int step = 0; step < 200; ++step) {
+      const uint64_t roll = rng() % 100;
+      if (roll < 55) {
+        // Half the inserts are perturbed base records, which the base
+        // queries reach; the rest are random.
+        std::vector<ElementId> elements;
+        if (rng() % 2 == 0) {
+          elements = ds.record(rng() % ds.size());
+          elements.push_back(static_cast<ElementId>(3000 + rng() % 100));
+        } else {
+          const size_t size = 5 + rng() % 26;
+          for (size_t i = 0; i < size; ++i) {
+            elements.push_back(static_cast<ElementId>(rng() % 3000));
+          }
+        }
+        Record record = MakeRecord(std::move(elements));
+        const Result<RecordId> gid = (*service)->Ingest(record);
+        ASSERT_TRUE(gid.ok());
+        ASSERT_EQ(next_gid, *gid);
+        recent.push_back(record);
+        if (recent.size() > 3) recent.erase(recent.begin());
+        live[next_gid++] = std::move(record);
+      } else if (roll < 72 && !live.empty()) {
+        auto victim = live.begin();
+        std::advance(victim, rng() % live.size());
+        const Result<serve::MutationResult> result =
+            (*service)->Delete(victim->first);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        ASSERT_FALSE(result->noop);
+        ++deleted_total;
+        dead.push_back(victim->first);
+        live.erase(victim);
+      } else if (roll < 78 && !dead.empty()) {
+        // A dead id is either still tombstoned (ok + noop) or already
+        // purged (NotFound) — never served, never double-counted.
+        const RecordId id = dead[rng() % dead.size()];
+        const Result<serve::MutationResult> result = (*service)->Delete(id);
+        if (result.ok()) {
+          EXPECT_TRUE(result->noop);
+        } else {
+          EXPECT_EQ(StatusCode::kNotFound, result.status().code());
+        }
+      } else if (roll < 88) {
+        ASSERT_TRUE((*service)->Promote().ok());
+      } else {
+        serve::MutationRequest compact;
+        compact.kind = serve::MutationKind::kCompact;
+        compact.compact.all = (rng() % 2) == 0;
+        const Result<serve::MutationResult> result =
+            (*service)->Apply(compact);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        purged_total += result->tombstones_purged;
+      }
+      ASSERT_EQ(ds.size() + (next_gid - ds.size()) - purged_total,
+                (*service)->size());
+      ASSERT_EQ(deleted_total - purged_total, (*service)->num_tombstones());
+      std::vector<Record> probes = queries;
+      probes.insert(probes.end(), recent.begin(), recent.end());
+      ASSERT_TRUE(MatchesFreshBuild(**service, reference, live, probes))
+          << "step " << step;
+    }
+
+    // Seal the tail, let any background compaction land, and check once
+    // more: sealing and merging change nothing.
+    ASSERT_TRUE((*service)->Promote().ok());
+    ASSERT_TRUE((*service)->WaitForBackgroundWork().ok());
+    ASSERT_TRUE(MatchesFreshBuild(**service, reference, live, queries));
+    if (method != SearchMethod::kFreqSet) continue;
+
+    // FreqSet is exact: compare against the ScanCount oracle too.
+    std::vector<RecordId> gids;
+    std::vector<Record> records;
+    for (const auto& [gid, record] : live) {
+      gids.push_back(gid);
+      records.push_back(record);
+    }
+    Result<Dataset> oracle_ds = Dataset::Create(std::move(records));
+    ASSERT_TRUE(oracle_ds.ok());
+    constexpr double kThreshold = 0.5;
+    const std::vector<RecordId> query_ids =
+        SampleQueries(*oracle_ds, 30, 123);
+    const std::vector<std::vector<RecordId>> truth =
+        ComputeGroundTruth(*oracle_ds, query_ids, kThreshold, 1);
+    for (size_t q = 0; q < query_ids.size(); ++q) {
+      QueryRequest request(oracle_ds->record(query_ids[q]), kThreshold);
+      const QueryResponse response = (*service)->Serve(request, 2);
+      std::vector<RecordId> expected;
+      for (RecordId pos : truth[q]) expected.push_back(gids[pos]);
+      std::sort(expected.begin(), expected.end());
+      EXPECT_EQ(expected, SortedIds(response.hits)) << "q" << q;
+    }
+  }
+}
+
+// For every method the service supports, answers right after each Ingest
+// equal a fresh build over the live records, and they stay identical
+// across Promote() (a seal: nothing is rebuilt), auto-seals, deletes and
+// the compaction that follows.
+TEST(ShardLifecycleTest, IngestAnswersMatchFreshBuildForEveryMethod) {
+  const Dataset& ds = TestDataset();
+  const std::vector<Record> extras = ExtraRecords(9, 995);
+  std::vector<Record> queries = TestQueries(8);
+  queries.insert(queries.end(), extras.begin(), extras.end());
+  for (const SearchMethod method :
+       {SearchMethod::kGbKmv, SearchMethod::kGKmv, SearchMethod::kFreqSet,
+        SearchMethod::kPPJoin, SearchMethod::kBruteForce,
+        SearchMethod::kMinHashLsh}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "method " << static_cast<int>(method));
+    SearcherConfig config = ServiceConfig(method, 2);
+    config.sharded.auto_promote_records = 4;
+    Result<std::unique_ptr<ShardedContainmentService>> service =
+        serve::BuildShardedService(ds, config);
+    ASSERT_TRUE(service.ok());
+    const FreshReference reference(config);
+    const size_t base_shards = (*service)->num_shards();
+    std::map<RecordId, Record> live;
+    for (RecordId id = 0; id < ds.size(); ++id) live[id] = ds.record(id);
+
+    for (size_t i = 0; i < 6; ++i) {
+      const RecordId gid = (*service)->Ingest(extras[i]).value();
+      live[gid] = extras[i];
+      ASSERT_TRUE(MatchesFreshBuild(**service, reference, live, queries))
+          << "after ingest " << i;
+    }
+    // Rows 0..3 sealed themselves at 4; rows 4..5 sit in the open shard.
+    EXPECT_EQ(base_shards + 1, (*service)->num_shards());
+    EXPECT_EQ(2u, (*service)->ingest_size());
+
+    // Tombstones in a base shard, the sealed shard and the open shard.
+    for (const RecordId id : {RecordId{11}, static_cast<RecordId>(ds.size()),
+                              static_cast<RecordId>(ds.size() + 5)}) {
+      ASSERT_TRUE((*service)->Delete(id).ok());
+      live.erase(id);
+    }
+    ASSERT_TRUE(MatchesFreshBuild(**service, reference, live, queries));
+    // A row ingested after a tombstone in the open shard keeps both aligned.
+    const RecordId gid = (*service)->Ingest(extras[6]).value();
+    live[gid] = extras[6];
+    ASSERT_TRUE(MatchesFreshBuild(**service, reference, live, queries));
+
+    const std::vector<QueryResponse> before = (*service)->BatchServe(
+        MakeRequests(queries, 0.3, 0, true), 1);
+    ASSERT_TRUE((*service)->Promote().ok());
+    EXPECT_EQ(0u, (*service)->ingest_size());
+    EXPECT_EQ(base_shards + 2, (*service)->num_shards());
+    const std::vector<QueryResponse> after = (*service)->BatchServe(
+        MakeRequests(queries, 0.3, 0, true), 1);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(before[i].hits, after[i].hits) << "q" << i;
+    }
+
+    for (size_t i = 7; i < extras.size(); ++i) {
+      const RecordId next = (*service)->Ingest(extras[i]).value();
+      live[next] = extras[i];
+    }
+    ASSERT_TRUE((*service)->Promote().ok());
+    ASSERT_TRUE((*service)->Compact({.all = true}).ok());
+    ASSERT_TRUE((*service)->WaitForBackgroundWork().ok());
+    EXPECT_EQ(base_shards + 1, (*service)->num_shards());
+    ASSERT_TRUE(MatchesFreshBuild(**service, reference, live, queries));
+  }
+}
+
+// With auto_promote_records = 0 the open shard still seals at the fixed
+// default bound, so the per-ingest fold never grows without limit.
+TEST(ShardLifecycleTest, OpenShardSealsAtDefaultBound) {
+  const Dataset& ds = TestDataset();
+  SearcherConfig config = ServiceConfig(SearchMethod::kGKmv, 1);
+  ASSERT_EQ(0u, config.sharded.auto_promote_records);
   Result<std::unique_ptr<ShardedContainmentService>> service =
       serve::BuildShardedService(ds, config);
   ASSERT_TRUE(service.ok());
-
-  std::mt19937_64 rng(20260808);
-  std::map<RecordId, Record> live;
-  for (RecordId id = 0; id < ds.size(); ++id) live[id] = ds.record(id);
-  std::vector<RecordId> dead;
-  RecordId next_gid = ds.size();
-  size_t deleted_total = 0, purged_total = 0;
-
-  for (int step = 0; step < 200; ++step) {
-    const uint64_t roll = rng() % 100;
-    if (roll < 55) {
-      std::vector<ElementId> elements;
-      const size_t size = 5 + rng() % 26;
-      for (size_t i = 0; i < size; ++i) {
-        elements.push_back(static_cast<ElementId>(rng() % 3000));
-      }
-      Record record = MakeRecord(std::move(elements));
-      const Result<RecordId> gid = (*service)->Ingest(record);
-      ASSERT_TRUE(gid.ok());
-      ASSERT_EQ(next_gid, *gid);
-      live[next_gid++] = std::move(record);
-    } else if (roll < 72 && !live.empty()) {
-      auto victim = live.begin();
-      std::advance(victim, rng() % live.size());
-      const Result<serve::MutationResult> result =
-          (*service)->Delete(victim->first);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      ASSERT_FALSE(result->noop);
-      ++deleted_total;
-      dead.push_back(victim->first);
-      live.erase(victim);
-    } else if (roll < 78 && !dead.empty()) {
-      // A dead id is either still tombstoned (ok + noop) or already purged
-      // (NotFound) — never served, never double-counted.
-      const RecordId id = dead[rng() % dead.size()];
-      const Result<serve::MutationResult> result = (*service)->Delete(id);
-      if (result.ok()) {
-        EXPECT_TRUE(result->noop);
-      } else {
-        EXPECT_EQ(StatusCode::kNotFound, result.status().code());
-      }
-    } else if (roll < 88) {
-      ASSERT_TRUE((*service)->Promote().ok());
-    } else {
-      serve::MutationRequest compact;
-      compact.kind = serve::MutationKind::kCompact;
-      compact.compact.all = (rng() % 2) == 0;
-      const Result<serve::MutationResult> result =
-          (*service)->Apply(compact);
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      purged_total += result->tombstones_purged;
+  EXPECT_EQ(ShardedContainmentService::kDefaultSealRows,
+            (*service)->SealRows());
+  std::mt19937_64 rng(7);
+  for (size_t i = 0; i < ShardedContainmentService::kDefaultSealRows; ++i) {
+    std::vector<ElementId> elements;
+    for (size_t j = 0; j < 8; ++j) {
+      elements.push_back(static_cast<ElementId>(rng() % 3000));
     }
-    ASSERT_EQ(ds.size() + (next_gid - ds.size()) - purged_total,
-              (*service)->size());
-    ASSERT_EQ(deleted_total - purged_total, (*service)->num_tombstones());
+    ASSERT_TRUE((*service)->Ingest(MakeRecord(std::move(elements))).ok());
+    ASSERT_EQ((i + 1) % ShardedContainmentService::kDefaultSealRows,
+              (*service)->ingest_size());
   }
-
-  // Promote the tail so every survivor sits in an exact immutable shard,
-  // then compare against the ScanCount oracle over the survivors.
-  ASSERT_TRUE((*service)->Promote().ok());
-  ASSERT_TRUE((*service)->WaitForBackgroundWork().ok());
-
-  std::vector<RecordId> gids;
-  std::vector<Record> records;
-  for (const auto& [gid, record] : live) {
-    gids.push_back(gid);
-    records.push_back(record);
-  }
-  Result<Dataset> oracle_ds = Dataset::Create(std::move(records));
-  ASSERT_TRUE(oracle_ds.ok());
-  constexpr double kThreshold = 0.5;
-  const std::vector<RecordId> query_ids = SampleQueries(*oracle_ds, 30, 123);
-  const std::vector<std::vector<RecordId>> truth =
-      ComputeGroundTruth(*oracle_ds, query_ids, kThreshold, 1);
-  for (size_t q = 0; q < query_ids.size(); ++q) {
-    QueryRequest request(oracle_ds->record(query_ids[q]), kThreshold);
-    const QueryResponse response = (*service)->Serve(request, 2);
-    std::vector<RecordId> expected;
-    for (RecordId pos : truth[q]) expected.push_back(gids[pos]);
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(expected, SortedIds(response.hits)) << "q" << q;
-  }
+  EXPECT_EQ(2u, (*service)->num_shards());
 }
 
 // --- shard manifest -------------------------------------------------------
@@ -1029,6 +1269,93 @@ TEST(ShardedServiceTest, TombstonesAndPolicyRoundTripThroughManifest) {
   std::filesystem::remove_all(dir);
 }
 
+// Manifest v2 still loads. A v2 service kept fresh rows in a separate
+// ingest shard saved as a DynamicGbKmvIndex snapshot; Load turns its rows
+// and tombstones into one sealed shard built with the service's method,
+// so those rows answer exactly from then on. The v2 manifest is written
+// here field by field, as a v2 binary wrote it.
+TEST(ShardedServiceTest, Version2ManifestIngestShardLoadsAsSealedShard) {
+  const Dataset& ds = TestDataset();
+  const std::string dir = ::testing::TempDir() + "sharded_manifest_v2";
+  const SearcherConfig config = ServiceConfig(SearchMethod::kFreqSet, 2);
+  Result<std::unique_ptr<ShardedContainmentService>> built =
+      serve::BuildShardedService(ds, config);
+  ASSERT_TRUE(built.ok());
+  ASSERT_TRUE((*built)->Save(dir).ok());  // the shard files
+
+  const std::vector<Record> fresh = ExtraRecords(3, 996);
+  DynamicGbKmvOptions dynamic_options;
+  dynamic_options.budget_units = 4096;
+  const Dataset empty = Dataset::Create({}, "ingest").value();
+  std::unique_ptr<DynamicGbKmvIndex> ingest =
+      DynamicGbKmvIndex::Create(empty, dynamic_options).value();
+  for (const Record& r : fresh) ingest->Insert(r);
+  ASSERT_TRUE(ingest->Save(dir + "/ingest.snap").ok());
+
+  const RecordId ingest_base = static_cast<RecordId>(ds.size());
+  io::SnapshotWriter manifest;
+  io::WriteSnapshotMeta(&manifest, io::kShardedManifestKind, 0);
+  io::Writer* out = manifest.AddSection(io::kSectionManifest);
+  out->PutU32(2);
+  out->PutString("freqset");
+  out->PutU8(static_cast<uint8_t>(config.sharded.partitioner));
+  out->PutDouble(config.space_ratio);
+  out->PutU64(static_cast<uint64_t>(config.buffer_bits));
+  out->PutU64(config.lshe_num_hashes);
+  out->PutU64(config.lshe_num_partitions);
+  out->PutU64(config.seed);
+  out->PutU64(0);     // cache capacity
+  out->PutU64(0);     // auto-promote records
+  out->PutU64(4096);  // ingest-shard sketch budget (v2 only)
+  out->PutU64(0);     // MinHash-LSH size hint
+  out->PutU64(ingest_base + fresh.size());  // next global id
+  out->PutU64(2);                           // base shard count
+  out->PutDouble(0.0);                      // tier ratio
+  out->PutU64(2);                           // min shards
+  out->PutDouble(0.0);                      // purge threshold
+  out->PutBool(false);                      // no sketcher (FreqSet)
+  out->PutU64(2);
+  std::map<RecordId, Record> live;
+  for (RecordId id = 0; id < ds.size(); ++id) live[id] = ds.record(id);
+  for (size_t k = 0; k < 2; ++k) {
+    const std::vector<RecordId> gids(
+        (*built)->shard(k).global_ids.begin(),
+        (*built)->shard(k).global_ids.end());
+    out->PutString(k == 0 ? "shard-000.snap" : "shard-001.snap");
+    out->PutVecU32(gids);
+    // One tombstone in the first base shard: local row 2.
+    out->PutVecU32(k == 0 ? std::vector<uint32_t>{2} : std::vector<uint32_t>{});
+    if (k == 0) live.erase(gids[2]);
+  }
+  out->PutBool(true);  // the ingest shard
+  out->PutString("ingest.snap");
+  out->PutU64(ingest_base);
+  out->PutVecU32({1});  // its tombstone: local row 1
+  ASSERT_TRUE(manifest.WriteTo(dir + "/manifest.snap").ok());
+  live[ingest_base] = fresh[0];
+  live[ingest_base + 2] = fresh[2];
+
+  Result<std::unique_ptr<ShardedContainmentService>> loaded =
+      ShardedContainmentService::Load(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(ds.size() + fresh.size(), (*loaded)->size());
+  EXPECT_EQ(2u, (*loaded)->num_tombstones());
+  EXPECT_EQ(3u, (*loaded)->num_shards());
+  EXPECT_EQ(0u, (*loaded)->ingest_size());
+  std::vector<Record> queries = TestQueries(10);
+  queries.insert(queries.end(), fresh.begin(), fresh.end());
+  const FreshReference reference(config);
+  EXPECT_TRUE(MatchesFreshBuild(**loaded, reference, live, queries));
+  // Deleted stays deleted, and ingest resumes the id sequence.
+  const Result<serve::MutationResult> again =
+      (*loaded)->Delete(ingest_base + 1);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->noop);
+  EXPECT_EQ(ingest_base + fresh.size(),
+            (*loaded)->Ingest(MakeRecord({4600, 4601})).value());
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ShardedServiceTest, ManifestRoundTripsRebuildOnLoadMethod) {
   const Dataset& ds = TestDataset();
   const std::string dir = ::testing::TempDir() + "sharded_freqset";
@@ -1116,7 +1443,7 @@ TEST(ShardedServiceTest, LazyLoadWithResidentBudgetServesIdentically) {
       ShardedContainmentService::Load(dir);
   ASSERT_TRUE(eager.ok()) << eager.status().ToString();
 
-  ShardedContainmentService::LoadOptions options;
+  ServiceOptions options;
   options.max_resident_shards = 2;
   const obs::MetricsSnapshot before = obs::GlobalMetrics().Snapshot();
   Result<std::unique_ptr<ShardedContainmentService>> lazy =
@@ -1174,7 +1501,7 @@ TEST(ShardedServiceTest, LazyLoadByteBudgetAndRebuildMethod) {
   ASSERT_TRUE(service.ok());
   ASSERT_TRUE((*service)->Save(dir).ok());
 
-  ShardedContainmentService::LoadOptions options;
+  ServiceOptions options;
   options.max_resident_bytes = 1;  // at most the pinned shard stays
   Result<std::unique_ptr<ShardedContainmentService>> lazy =
       ShardedContainmentService::Load(dir, options);
@@ -1209,7 +1536,7 @@ TEST(ShardedServiceTest, LazyLoadMutationsAndResave) {
   ASSERT_TRUE(service.ok());
   ASSERT_TRUE((*service)->Save(dir).ok());
 
-  ShardedContainmentService::LoadOptions options;
+  ServiceOptions options;
   options.max_resident_shards = 1;
   Result<std::unique_ptr<ShardedContainmentService>> lazy =
       ShardedContainmentService::Load(dir, options);
@@ -1217,11 +1544,11 @@ TEST(ShardedServiceTest, LazyLoadMutationsAndResave) {
 
   const RecordId gid = (*lazy)->Ingest(MakeRecord({6000, 6001, 6002})).value();
   EXPECT_EQ(ds.size(), static_cast<size_t>(gid));
-  ASSERT_TRUE((*lazy)->PromoteIngest().ok());
+  ASSERT_TRUE((*lazy)->Promote().ok());
   (*lazy)->Ingest(MakeRecord({6100, 6101}));
-  ASSERT_TRUE((*lazy)->PromoteIngest().ok());
+  ASSERT_TRUE((*lazy)->Promote().ok());
   EXPECT_EQ(5u, (*lazy)->num_shards());
-  ASSERT_TRUE((*lazy)->CompactPromoted().ok());
+  ASSERT_TRUE((*lazy)->Compact({.all = true}).ok());
   EXPECT_EQ(4u, (*lazy)->num_shards());
 
   ASSERT_TRUE((*lazy)->Save(dir2).ok());
