@@ -47,6 +47,7 @@ class FreqSetSearcher : public ContainmentSearcher {
     return index_.TotalPostings();
   }
   bool exact() const override { return true; }
+  size_t num_records() const { return num_records_; }
 
   // Snapshot round-trip (docs/snapshot_format.md "freqset-index"). v3
   // stores the posting payload in the aligned-array encoding for either

@@ -132,6 +132,7 @@ class GbKmvIndexSearcher : public ContainmentSearcher {
   // Containment estimate for a single record (Eq. 27 over stored sketches).
   double EstimateContainment(const Record& query, RecordId id) const;
 
+  size_t num_records() const { return record_sizes_.size(); }
   size_t chosen_buffer_bits() const { return chosen_buffer_bits_; }
   uint64_t global_threshold() const { return sketcher_->global_threshold(); }
 
@@ -165,8 +166,6 @@ class GbKmvIndexSearcher : public ContainmentSearcher {
   // `borrow` serves the arrays from the reader's buffer in place.
   static Result<std::unique_ptr<GbKmvIndexSearcher>> LoadAligned(
       io::Reader* in, const Dataset* dataset, bool borrow);
-
-  size_t num_records() const { return record_sizes_.size(); }
 
   // Flat sketch store slices: record `id`'s buffer bitmap words and its
   // ascending G-KMV hash values.

@@ -11,7 +11,6 @@ namespace obs {
 namespace {
 
 thread_local SpanSink* t_span_sink = nullptr;
-thread_local const BatchSpanSource* t_batch_span_source = nullptr;
 
 // Slow-query visibility in the metrics plane too: a spike shows up on a
 // dashboard counter even when nobody is reading the ring.
@@ -149,19 +148,6 @@ ScopedSpanSink::ScopedSpanSink(SpanSink* sink) : previous_(t_span_sink) {
 }
 
 ScopedSpanSink::~ScopedSpanSink() { t_span_sink = previous_; }
-
-const BatchSpanSource* CurrentBatchSpanSource() {
-  return t_batch_span_source;
-}
-
-ScopedBatchSpanSource::ScopedBatchSpanSource(const BatchSpanSource* source)
-    : previous_(t_batch_span_source) {
-  t_batch_span_source = source;
-}
-
-ScopedBatchSpanSource::~ScopedBatchSpanSource() {
-  t_batch_span_source = previous_;
-}
 
 }  // namespace obs
 }  // namespace gbkmv

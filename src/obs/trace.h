@@ -222,53 +222,14 @@ class StageTimer {
 // BEFORE ShardedContainmentService::BatchServe ever sees the batch: HTTP +
 // JSON decode on the reactor thread, and the admission-queue wait until the
 // micro-batcher formed the batch. Those spans carry absolute monotonic
-// timestamps; the serve layer's trace assembly re-bases each trace onto the
-// earliest server span so queue time shows up in total_ns and the span
-// offsets stay consistent.
+// timestamps and reach BatchServe as an argument, one list per request; the
+// serve layer re-bases each trace onto the earliest server span so queue
+// time shows up in total_ns and every span offset, searcher stages
+// included, counts from the same origin.
 struct ServerSpan {
   Stage stage = Stage::kServerQueue;
   uint64_t start_ns = 0;  // absolute MonotonicNanos
   uint64_t end_ns = 0;
-
-  friend bool operator==(const ServerSpan&, const ServerSpan&) = default;
-};
-
-// Per-request server spans for one BatchServe call, keyed by the request's
-// index in the batch. Immutable once built; the batch executor installs it
-// (ScopedBatchSpanSource) on the thread that calls BatchServe, and the serve
-// layer reads it while assembling sampled/slow traces on that same thread.
-// Like all tracing this is passive — responses never depend on it.
-class BatchSpanSource {
- public:
-  explicit BatchSpanSource(std::vector<std::vector<ServerSpan>> spans)
-      : spans_(std::move(spans)) {}
-
-  // Spans of the batch's request_index-th request; nullptr when none.
-  const std::vector<ServerSpan>* SpansFor(size_t request_index) const {
-    if (request_index >= spans_.size() || spans_[request_index].empty()) {
-      return nullptr;
-    }
-    return &spans_[request_index];
-  }
-
- private:
-  std::vector<std::vector<ServerSpan>> spans_;
-};
-
-// The source installed on this thread, or nullptr (every non-server batch).
-const BatchSpanSource* CurrentBatchSpanSource();
-
-// Installs `source` as the current thread's batch span source for the
-// enclosing scope (the server's BatchServe call).
-class ScopedBatchSpanSource {
- public:
-  explicit ScopedBatchSpanSource(const BatchSpanSource* source);
-  ~ScopedBatchSpanSource();
-  ScopedBatchSpanSource(const ScopedBatchSpanSource&) = delete;
-  ScopedBatchSpanSource& operator=(const ScopedBatchSpanSource&) = delete;
-
- private:
-  const BatchSpanSource* previous_;
 };
 
 }  // namespace obs

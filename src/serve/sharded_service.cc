@@ -9,12 +9,10 @@
 #include <utility>
 
 #include "common/timer.h"
-#include "index/brute_force.h"
 #include "index/dynamic_index.h"
 #include "index/freqset.h"
 #include "index/gbkmv_index.h"
 #include "index/minhash_lsh.h"
-#include "index/ppjoin.h"
 #include "index/searcher_registry.h"
 #include "io/mmap_snapshot.h"
 #include "io/snapshot.h"
@@ -96,7 +94,9 @@ const char* MethodToken(SearchMethod method) {
   return "gb-kmv";
 }
 
-bool MethodSupportsSharding(SearchMethod method) {
+// Build and Load accept only methods whose dataset-global parameters can be
+// pinned for every shard.
+Status CheckShardable(SearchMethod method) {
   switch (method) {
     case SearchMethod::kGbKmv:
     case SearchMethod::kGKmv:
@@ -104,16 +104,19 @@ bool MethodSupportsSharding(SearchMethod method) {
     case SearchMethod::kPPJoin:
     case SearchMethod::kBruteForce:
     case SearchMethod::kMinHashLsh:
-      return true;
+      return Status::OK();
     // Per-record state these methods derive from the dataset cannot be
     // pinned globally yet: KMV's Theorem-1 sketch size ⌊b/m⌋, LSH-E's
     // equal-depth partition boundaries, A-MH's padding width.
     case SearchMethod::kKmv:
     case SearchMethod::kLshEnsemble:
     case SearchMethod::kAsymmetricMinHash:
-      return false;
+      break;
   }
-  return false;
+  return Status::InvalidArgument(
+      std::string("method '") + MethodToken(method) +
+      "' derives per-record parameters from the whole dataset and is not "
+      "supported by the sharded service (docs/sharding.md)");
 }
 
 std::string ShardFileName(size_t index) {
@@ -178,12 +181,7 @@ ShardedContainmentService::Build(const Dataset& dataset,
   if (dataset.empty()) {
     return Status::InvalidArgument("dataset is empty");
   }
-  if (!MethodSupportsSharding(config.method)) {
-    return Status::InvalidArgument(
-        std::string("method '") + MethodToken(config.method) +
-        "' derives per-record parameters from the whole dataset and is not "
-        "supported by the sharded service (docs/sharding.md)");
-  }
+  if (Status s = CheckShardable(config.method); !s.ok()) return s;
 
   std::unique_ptr<ShardedContainmentService> service(
       new ShardedContainmentService(config));
@@ -274,21 +272,6 @@ ShardedContainmentService::BuildShardSearcher(const Dataset& shard_dataset,
       if (!s.ok()) return s.status();
       return std::unique_ptr<ContainmentSearcher>(std::move(s.value()));
     }
-    case SearchMethod::kFreqSet: {
-      const std::unique_ptr<ThreadPool> pool =
-          MakeBuildPool(num_threads, shard_dataset.size());
-      return std::unique_ptr<ContainmentSearcher>(
-          std::make_unique<FreqSetSearcher>(shard_dataset, pool.get()));
-    }
-    case SearchMethod::kPPJoin: {
-      const std::unique_ptr<ThreadPool> pool =
-          MakeBuildPool(num_threads, shard_dataset.size());
-      return std::unique_ptr<ContainmentSearcher>(
-          std::make_unique<PPJoinSearcher>(shard_dataset, pool.get()));
-    }
-    case SearchMethod::kBruteForce:
-      return std::unique_ptr<ContainmentSearcher>(
-          std::make_unique<BruteForceSearcher>(shard_dataset));
     case SearchMethod::kMinHashLsh: {
       MinHashLshOptions options;
       options.num_hashes = config_.lshe_num_hashes;
@@ -300,9 +283,13 @@ ShardedContainmentService::BuildShardSearcher(const Dataset& shard_dataset,
       if (!s.ok()) return s.status();
       return std::unique_ptr<ContainmentSearcher>(std::move(s.value()));
     }
-    default:
-      return Status::InvalidArgument("method not supported by the sharded "
-                                     "service");
+    default: {
+      // The exact methods hold no dataset-global state: a shard is just a
+      // plain build over its records.
+      SearcherConfig config = config_;
+      config.num_threads = num_threads;
+      return BuildSearcher(shard_dataset, config);
+    }
   }
 }
 
@@ -369,58 +356,60 @@ QueryResponse ShardedContainmentService::Serve(const QueryRequest& request,
 
 namespace {
 
-// Post-pass over the timestamps BatchServe captured: per-query serve
-// latency samples, plus (when tracing) one assembled QueryTrace per
-// sampled or slow query. `origin` carries BatchServe's Origin enum as raw
-// bytes (0 = cache hit, 1 = computed, 2 = duplicate).
+// One BatchServe request's bookkeeping. Timestamps are absolute
+// MonotonicNanos, 0 unless metrics or tracing are on.
+struct RequestState {
+  enum class Origin : uint8_t { kCacheHit, kComputed, kDuplicate };
+  Origin origin = Origin::kCacheHit;
+  // kComputed: the request's row in the (query, shard) task grid;
+  // kDuplicate: the index of its earlier twin in the batch.
+  size_t index = 0;
+  bool sampled = false;
+  // The trace's time origin: the earliest server span, else serve_start.
+  uint64_t trace_start_ns = 0;
+  uint64_t serve_start_ns = 0;
+  uint64_t lookup_end_ns = 0;
+  uint64_t merge_start_ns = 0;
+  uint64_t merge_end_ns = 0;
+  uint64_t fill_start_ns = 0;
+  uint64_t finish_ns = 0;
+};
+
+// One (query, shard) search of the fan-out.
+struct ShardTask {
+  QueryResponse response;
+  uint64_t start_ns = 0;
+  uint64_t end_ns = 0;
+  std::vector<obs::TraceSpan> spans;  // searcher stages, sampled queries only
+};
+
+// Post-pass over what BatchServe captured: per-query serve latency samples,
+// plus (when tracing) one assembled QueryTrace per sampled or slow query.
+// `tasks` is the row-major (computed query, shard) grid, `num_live` wide.
 void RecordServeObservations(
     std::span<const QueryRequest> requests,
-    const std::vector<QueryResponse>& results,
-    std::span<const uint8_t> origin, const std::vector<size_t>& pending,
-    const std::vector<uint64_t>& serve_start,
-    const std::vector<uint64_t>& lookup_end,
-    const std::vector<uint64_t>& finish_ns,
-    const std::vector<uint64_t>& fill_start,
-    const std::vector<uint8_t>& sampled, size_t num_live,
-    const std::vector<uint64_t>& task_start,
-    const std::vector<uint64_t>& task_end,
-    const std::vector<std::vector<obs::TraceSpan>>& task_spans,
-    const std::vector<uint64_t>& merge_start,
-    const std::vector<uint64_t>& merge_end, bool metrics_on, bool tracing) {
-  constexpr uint8_t kCacheHit = 0;
-  constexpr uint8_t kComputed = 1;
-  // pending[qi] -> qi, for computed requests.
-  std::unordered_map<size_t, size_t> pending_pos;
-  pending_pos.reserve(pending.size());
-  for (size_t qi = 0; qi < pending.size(); ++qi) {
-    pending_pos.emplace(pending[qi], qi);
-  }
+    std::span<const QueryResponse> results,
+    std::span<const RequestState> states, std::span<const ShardTask> tasks,
+    size_t num_live,
+    std::span<const std::vector<obs::ServerSpan>> server_spans,
+    bool metrics_on, bool tracing) {
+  using Origin = RequestState::Origin;
   const ServeMetrics& metrics = Metrics();
   obs::Tracer& tracer = obs::GlobalTracer();
   const uint64_t slow_ns = tracer.slow_query_ns();
-  // The network server hands down per-request parse/queue spans through a
-  // thread-local source (obs/trace.h); nullptr everywhere else.
-  const obs::BatchSpanSource* batch_source = obs::CurrentBatchSpanSource();
   const size_t S = num_live;
   for (size_t i = 0; i < requests.size(); ++i) {
-    const std::vector<obs::ServerSpan>* server_spans =
-        batch_source != nullptr ? batch_source->SpansFor(i) : nullptr;
-    // Traces (but not the serve latency metric) re-base onto the earliest
-    // server span, so queue wait is part of the recorded total and the
-    // slow-query threshold sees what the client saw.
-    uint64_t base = serve_start[i];
-    if (server_spans != nullptr) {
-      for (const obs::ServerSpan& span : *server_spans) {
-        base = std::min(base, span.start_ns);
-      }
+    const RequestState& state = states[i];
+    // The serve latency metric starts at BatchServe; traces start at the
+    // earliest server span, so queue wait is part of the recorded total and
+    // the slow-query threshold sees what the client saw.
+    if (metrics_on) {
+      metrics.latency_ns->Record(state.finish_ns - state.serve_start_ns);
     }
-    const uint64_t serve_ns =
-        finish_ns[i] > serve_start[i] ? finish_ns[i] - serve_start[i] : 0;
-    if (metrics_on) metrics.latency_ns->Record(serve_ns);
     if (!tracing) continue;
-    const uint64_t total_ns = finish_ns[i] > base ? finish_ns[i] - base : 0;
-    const bool is_sampled = sampled[i] != 0;
-    if (!is_sampled && !(slow_ns > 0 && total_ns >= slow_ns)) continue;
+    const uint64_t base = state.trace_start_ns;
+    const uint64_t total_ns = state.finish_ns - base;
+    if (!state.sampled && !(slow_ns > 0 && total_ns >= slow_ns)) continue;
 
     obs::QueryTrace trace;
     trace.start_ns = base;
@@ -428,50 +417,42 @@ void RecordServeObservations(
     trace.threshold = requests[i].threshold;
     trace.num_hits = static_cast<uint32_t>(results[i].hits.size());
     trace.shards_queried = results[i].stats.shards_queried;
-    trace.cache_hit = origin[i] != kComputed;
-    trace.sampled = is_sampled;
-    const auto relative = [base](uint64_t ts) {
-      return ts > base ? ts - base : 0;
-    };
-    const auto push = [&trace](obs::TraceSpan span) {
-      if (trace.spans.size() < obs::QueryTrace::kMaxSpans) {
-        trace.spans.push_back(span);
+    trace.cache_hit = state.origin != Origin::kComputed;
+    trace.sampled = state.sampled;
+    const auto push = [&](obs::Stage stage, int32_t shard, uint64_t start,
+                          uint64_t end) {
+      if (trace.spans.size() < trace.kMaxSpans) {
+        trace.spans.push_back({stage, shard, start > base ? start - base : 0,
+                               end > start ? end - start : 0});
       }
     };
-    if (server_spans != nullptr) {
-      for (const obs::ServerSpan& span : *server_spans) {
-        push({span.stage, -1, relative(span.start_ns),
-              span.end_ns > span.start_ns ? span.end_ns - span.start_ns
-                                          : 0});
+    if (i < server_spans.size()) {
+      for (const obs::ServerSpan& span : server_spans[i]) {
+        push(span.stage, -1, span.start_ns, span.end_ns);
       }
     }
-    push({obs::Stage::kCacheLookup, -1, relative(serve_start[i]),
-          lookup_end[i] - serve_start[i]});
-    if (origin[i] == kComputed && S > 0) {
-      const size_t qi = pending_pos.at(i);
+    push(obs::Stage::kCacheLookup, -1, state.serve_start_ns,
+         state.lookup_end_ns);
+    if (state.origin == Origin::kComputed && S > 0) {
+      const std::span<const ShardTask> row = tasks.subspan(state.index * S, S);
       uint64_t first_start = UINT64_MAX;
       uint64_t last_end = 0;
-      for (size_t s = 0; s < S; ++s) {
-        first_start = std::min(first_start, task_start[qi * S + s]);
-        last_end = std::max(last_end, task_end[qi * S + s]);
+      for (const ShardTask& task : row) {
+        first_start = std::min(first_start, task.start_ns);
+        last_end = std::max(last_end, task.end_ns);
       }
-      push({obs::Stage::kFanout, -1, relative(first_start),
-            last_end - first_start});
+      push(obs::Stage::kFanout, -1, first_start, last_end);
       for (size_t s = 0; s < S; ++s) {
-        const size_t task = qi * S + s;
-        push({obs::Stage::kShardSearch, static_cast<int32_t>(s),
-              relative(task_start[task]),
-              task_end[task] - task_start[task]});
-        if (is_sampled && task < task_spans.size()) {
-          for (const obs::TraceSpan& span : task_spans[task]) push(span);
+        push(obs::Stage::kShardSearch, static_cast<int32_t>(s),
+             row[s].start_ns, row[s].end_ns);
+        for (const obs::TraceSpan& span : row[s].spans) {
+          if (trace.spans.size() < trace.kMaxSpans) trace.spans.push_back(span);
         }
       }
-      push({obs::Stage::kMerge, -1, relative(merge_start[qi]),
-            merge_end[qi] - merge_start[qi]});
+      push(obs::Stage::kMerge, -1, state.merge_start_ns, state.merge_end_ns);
     }
-    if (origin[i] != kCacheHit && fill_start[i] != 0) {
-      push({obs::Stage::kCacheFill, -1, relative(fill_start[i]),
-            finish_ns[i] - fill_start[i]});
+    if (state.origin != Origin::kCacheHit) {
+      push(obs::Stage::kCacheFill, -1, state.fill_start_ns, state.finish_ns);
     }
     tracer.Record(std::move(trace));
   }
@@ -507,7 +488,8 @@ std::vector<uint32_t> DeletedLocalIds(const std::vector<uint8_t>& mask) {
 }  // namespace
 
 std::vector<QueryResponse> ShardedContainmentService::BatchServe(
-    std::span<const QueryRequest> requests, size_t num_threads) {
+    std::span<const QueryRequest> requests, size_t num_threads,
+    std::span<const std::vector<obs::ServerSpan>> server_spans) {
   if (num_threads == 0) num_threads = DefaultThreads();
   std::vector<QueryResponse> results(requests.size());
   if (requests.empty()) return results;
@@ -519,7 +501,7 @@ std::vector<QueryResponse> ShardedContainmentService::BatchServe(
   std::shared_lock<std::shared_mutex> lock(state_mutex_);
 
   struct Live {
-    const ContainmentSearcher* searcher;
+    std::shared_ptr<ActiveShard> pin;
     std::span<const RecordId> ids;
     // Tombstone mask of the shard; null when it has none. Stable for the
     // whole batch: Delete writes masks under the unique lock only.
@@ -534,18 +516,14 @@ std::vector<QueryResponse> ShardedContainmentService::BatchServe(
   // was corrupted underneath a live service — fatal, because there is no
   // per-response error channel and serving without the shard would
   // silently drop its records.
-  std::vector<std::shared_ptr<ActiveShard>> pins;
-  pins.reserve(shards_.size());
   for (const Shard& shard : shards_) {
     Result<std::shared_ptr<ActiveShard>> active = PinShard(shard);
     GBKMV_CHECK(active.ok());
-    live.push_back({active.value()->searcher.get(), shard.global_ids,
+    live.push_back({std::move(active.value()), shard.global_ids,
                     shard.num_deleted > 0 ? &shard.deleted : nullptr});
-    pins.push_back(std::move(active.value()));
   }
 
   // Observability (docs/observability.md). Everything below is passive:
-  // when `timing` is off the serve path runs exactly as before; when on,
   // timestamps are captured around the existing calls and never influence
   // them, so responses are bit-identical in every mode. Sampling decisions
   // happen in the serial pass, in request order, so which queries get
@@ -555,17 +533,10 @@ std::vector<QueryResponse> ShardedContainmentService::BatchServe(
   obs::Tracer& tracer = obs::GlobalTracer();
   const bool tracing = tracer.active();
   const bool timing = metrics_on || tracing;
+  const auto now = [timing] { return timing ? MonotonicNanos() : 0; };
   if (metrics_on) {
     metrics.batches->Add(1);
     metrics.queries->Add(requests.size());
-  }
-  std::vector<uint64_t> serve_start, lookup_end, finish_ns;
-  std::vector<uint8_t> sampled;
-  if (timing) {
-    serve_start.resize(requests.size(), 0);
-    lookup_end.resize(requests.size(), 0);
-    finish_ns.resize(requests.size(), 0);
-    sampled.assign(requests.size(), 0);
   }
 
   // Serial cache pass in request order, so the hit/miss/eviction stream —
@@ -573,50 +544,52 @@ std::vector<QueryResponse> ShardedContainmentService::BatchServe(
   // Requests identical to an earlier one in the batch are not recomputed:
   // they take the first occurrence's response through the cache in the
   // fill pass below, exactly as back-to-back Serve calls would.
-  enum class Origin : uint8_t { kCacheHit, kComputed, kDuplicate };
-  std::vector<Origin> origin(requests.size(), Origin::kCacheHit);
-  std::vector<size_t> pending;           // unique misses, first occurrences
-  std::vector<size_t> dup_of(requests.size(), 0);
+  using Origin = RequestState::Origin;
+  std::vector<RequestState> states(requests.size());
+  std::vector<size_t> pending;  // unique misses, first occurrences
   std::unordered_map<uint64_t, std::vector<size_t>> first_by_hash;
   pending.reserve(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    if (timing) {
-      serve_start[i] = MonotonicNanos();
-      if (tracing) sampled[i] = tracer.ShouldSample() ? 1 : 0;
+    RequestState& state = states[i];
+    state.serve_start_ns = state.trace_start_ns = now();
+    if (tracing) {
+      state.sampled = tracer.ShouldSample();
+      if (i < server_spans.size()) {
+        for (const obs::ServerSpan& span : server_spans[i]) {
+          state.trace_start_ns = std::min(state.trace_start_ns, span.start_ns);
+        }
+      }
     }
     // Duplicate of an earlier MISS: sequentially its lookup would happen
     // after the twin's insert (a hit, counted in the fill pass), so it
     // must not touch the cache — and not count a miss — here. Duplicates
     // of earlier HITS fall through to Lookup and count their hit now,
     // exactly like sequential calls.
-    const uint64_t hash = HashQueryRequest(requests[i]);
-    std::vector<size_t>& chain = first_by_hash[hash];
-    bool duplicate = false;
+    std::vector<size_t>& chain = first_by_hash[HashQueryRequest(requests[i])];
     for (size_t j : chain) {
       if (EquivalentRequests(requests[j], requests[i])) {
-        origin[i] = Origin::kDuplicate;
-        dup_of[i] = j;
-        duplicate = true;
+        state.origin = Origin::kDuplicate;
+        state.index = j;
         break;
       }
     }
-    if (!duplicate) {
+    if (state.origin != Origin::kDuplicate) {
       if (cache_.Lookup(requests[i], &results[i])) {
-        if (timing) lookup_end[i] = finish_ns[i] = MonotonicNanos();
+        state.lookup_end_ns = state.finish_ns = now();
         continue;
       }
-      origin[i] = Origin::kComputed;
+      state.origin = Origin::kComputed;
+      state.index = pending.size();
       chain.push_back(i);
       pending.push_back(i);
     }
-    if (timing) lookup_end[i] = MonotonicNanos();
+    state.lookup_end_ns = now();
   }
 
   const size_t S = live.size();
-  std::vector<uint64_t> task_start, task_end, merge_start, merge_end;
-  std::vector<std::vector<obs::TraceSpan>> task_spans;
+  std::vector<ShardTask> tasks;
   if (!pending.empty() && S > 0) {
-    std::vector<QueryResponse> partial(pending.size() * S);
+    tasks.resize(pending.size() * S);
     // A shard with live tombstones is searched without per-shard top-k
     // truncation (a tombstoned hit must not consume a top-k slot) and with
     // scores on, so the global merge can still rank; its tombstoned hits
@@ -628,8 +601,8 @@ std::vector<QueryResponse> ShardedContainmentService::BatchServe(
     std::vector<QueryRequest> untruncated;
     if (any_tombstones) {
       untruncated.reserve(pending.size());
-      for (size_t qi = 0; qi < pending.size(); ++qi) {
-        QueryRequest modified = requests[pending[qi]];
+      for (size_t i : pending) {
+        QueryRequest modified = requests[i];
         if (modified.top_k > 0) {
           modified.top_k = 0;
           modified.want_scores = true;
@@ -637,76 +610,50 @@ std::vector<QueryResponse> ShardedContainmentService::BatchServe(
         untruncated.push_back(modified);
       }
     }
-    if (timing) {
-      task_start.resize(pending.size() * S, 0);
-      task_end.resize(pending.size() * S, 0);
-      merge_start.resize(pending.size(), 0);
-      merge_end.resize(pending.size(), 0);
-      if (tracing) task_spans.resize(pending.size() * S);
-      if (metrics_on) {
-        for (size_t qi = 0; qi < pending.size(); ++qi) {
-          metrics.fanout_width->Record(S);
-        }
-      }
-    }
-    const auto run_task = [&](size_t task) {
-      const size_t qi = task / S;
-      const size_t s = task % S;
+    const auto run_task = [&](size_t t) {
+      const size_t qi = t / S;
+      const size_t s = t % S;
+      const RequestState& state = states[pending[qi]];
       const std::vector<uint8_t>* deleted = live[s].deleted;
       const QueryRequest& request =
           deleted != nullptr ? untruncated[qi] : requests[pending[qi]];
-      if (!timing) {
-        partial[task] =
-            live[s].searcher->SearchQ(request, ThreadLocalQueryContext());
-        if (deleted != nullptr) {
-          FilterTombstonedHits(*deleted, &partial[task]);
-        }
-        return;
+      ShardTask& task = tasks[t];
+      task.start_ns = now();
+      {
+        // Sampled query: capture the searcher-internal stages too, on the
+        // trace's own time origin.
+        obs::SpanSink sink(state.trace_start_ns, static_cast<int32_t>(s));
+        const obs::ScopedSpanSink install(state.sampled ? &sink : nullptr);
+        task.response =
+            live[s].pin->searcher->SearchQ(request, ThreadLocalQueryContext());
+        if (state.sampled) task.spans = sink.Take();
       }
-      task_start[task] = MonotonicNanos();
-      if (tracing && sampled[pending[qi]] != 0) {
-        // Sampled query: capture the searcher-internal stages too.
-        obs::SpanSink sink(serve_start[pending[qi]],
-                           static_cast<int32_t>(s));
-        obs::ScopedSpanSink install(&sink);
-        partial[task] =
-            live[s].searcher->SearchQ(request, ThreadLocalQueryContext());
-        task_spans[task] = sink.Take();
-      } else {
-        partial[task] =
-            live[s].searcher->SearchQ(request, ThreadLocalQueryContext());
-      }
-      if (deleted != nullptr) {
-        FilterTombstonedHits(*deleted, &partial[task]);
-      }
-      task_end[task] = MonotonicNanos();
+      if (deleted != nullptr) FilterTombstonedHits(*deleted, &task.response);
+      task.end_ns = now();
       if (metrics_on) {
-        metrics.shard_search_ns->Record(task_end[task] - task_start[task]);
+        metrics.shard_search_ns->Record(task.end_ns - task.start_ns);
       }
     };
     const auto merge_one = [&](size_t qi) {
-      if (timing) merge_start[qi] = MonotonicNanos();
+      RequestState& state = states[pending[qi]];
+      if (metrics_on) metrics.fanout_width->Record(S);
+      state.merge_start_ns = now();
       std::vector<ShardPartial> parts(S);
       for (size_t s = 0; s < S; ++s) {
-        parts[s] = {&partial[qi * S + s], live[s].ids};
+        parts[s] = {&tasks[qi * S + s].response, live[s].ids};
       }
-      results[pending[qi]] =
-          MergeShardResponses(requests[pending[qi]], parts);
-      if (timing) {
-        merge_end[qi] = MonotonicNanos();
-        finish_ns[pending[qi]] = merge_end[qi];
-      }
+      results[pending[qi]] = MergeShardResponses(requests[pending[qi]], parts);
+      state.merge_end_ns = now();
     };
-    const size_t total_tasks = pending.size() * S;
     if (num_threads == 1) {
-      for (size_t t = 0; t < total_tasks; ++t) run_task(t);
+      for (size_t t = 0; t < tasks.size(); ++t) run_task(t);
       for (size_t qi = 0; qi < pending.size(); ++qi) merge_one(qi);
     } else {
       // Grain 1 over the (query, shard) grid: shard costs are uneven and a
       // single query's fan-out should spread over the workers (that is the
       // latency win sharding buys; bench/shard_scaling.cc).
       const std::shared_ptr<ThreadPool> pool = ServingPool(num_threads);
-      pool->ParallelFor(0, total_tasks, 1,
+      pool->ParallelFor(0, tasks.size(), 1,
                         [&](size_t begin, size_t end, size_t /*chunk*/) {
                           for (size_t t = begin; t < end; ++t) run_task(t);
                         });
@@ -722,41 +669,25 @@ std::vector<QueryResponse> ShardedContainmentService::BatchServe(
   // Serial fill pass, again in request order: computed responses insert,
   // duplicates re-look-up (a hit now that their twin has filled — the same
   // touch/insert sequence sequential Serve calls produce).
-  std::vector<uint64_t> fill_start;
-  if (timing) fill_start.resize(requests.size(), 0);
   for (size_t i = 0; i < requests.size(); ++i) {
-    if (timing && origin[i] != Origin::kCacheHit) {
-      fill_start[i] = MonotonicNanos();
+    RequestState& state = states[i];
+    if (state.origin == Origin::kCacheHit) continue;
+    state.fill_start_ns = now();
+    if (state.origin == Origin::kComputed) {
+      cache_.Insert(requests[i], results[i]);
+    } else if (!cache_.Lookup(requests[i], &results[i])) {
+      // Cache disabled (or the twin's entry already evicted): the
+      // deterministic recompute sequential serving would do yields exactly
+      // the first occurrence's response.
+      results[i] = results[state.index];
+      cache_.Insert(requests[i], results[i]);
     }
-    switch (origin[i]) {
-      case Origin::kCacheHit:
-        break;
-      case Origin::kComputed:
-        cache_.Insert(requests[i], results[i]);
-        break;
-      case Origin::kDuplicate:
-        if (!cache_.Lookup(requests[i], &results[i])) {
-          // Cache disabled (or the twin's entry already evicted): the
-          // deterministic recompute sequential serving would do yields
-          // exactly the first occurrence's response.
-          results[i] = results[dup_of[i]];
-          cache_.Insert(requests[i], results[i]);
-        }
-        break;
-    }
-    if (timing && origin[i] != Origin::kCacheHit) {
-      finish_ns[i] = MonotonicNanos();
-    }
+    state.finish_ns = now();
   }
 
   if (timing) {
-    RecordServeObservations(
-        requests, results,
-        std::span<const uint8_t>(
-            reinterpret_cast<const uint8_t*>(origin.data()), origin.size()),
-        pending, serve_start, lookup_end, finish_ns, fill_start, sampled, S,
-        task_start, task_end, task_spans, merge_start, merge_end,
-        metrics_on, tracing);
+    RecordServeObservations(requests, results, states, tasks, S, server_spans,
+                            metrics_on, tracing);
   }
   return results;
 }
@@ -1315,6 +1246,7 @@ ShardedContainmentService::Load(const std::string& dir,
   if (Status s = in->GetString(&method_token); !s.ok()) return s;
   Result<SearchMethod> method = ParseSearchMethod(method_token);
   if (!method.ok()) return method.status();
+  if (Status s = CheckShardable(*method); !s.ok()) return s;
 
   SearcherConfig config;
   config.method = *method;
@@ -1433,29 +1365,14 @@ ShardedContainmentService::Load(const std::string& dir,
         return s;
       }
     }
-    const std::string path = dir + "/" + filename;
-    shard.snapshot_path = path;
-    if (lazy) {
-      // Defer the load to the first query that fans out to this shard; only
-      // prove the file exists so a misassembled directory fails here, not
-      // fatally at serve time.
-      std::error_code ec;
-      if (!std::filesystem::exists(path, ec) || ec) {
-        return Status::NotFound("manifest names missing shard snapshot " +
-                                path);
-      }
-    } else {
-      Result<ActiveShard> payload = service->LoadShardPayload(path);
-      if (!payload.ok()) return payload.status();
-      shard.active = std::make_shared<ActiveShard>(std::move(payload.value()));
-      const Dataset* dataset = shard.active->dataset.get();
-      if (dataset != nullptr &&
-          dataset->size() != shard.global_ids.size()) {
-        return Status::Corruption("shard " + filename + " holds " +
-                                  std::to_string(dataset->size()) +
-                                  " records but the manifest maps " +
-                                  std::to_string(shard.global_ids.size()));
-      }
+    // Activation (below, or on the first query that fans out to the shard)
+    // reads and verifies the file; prove now that it exists, so a
+    // misassembled directory fails here, not fatally at serve time.
+    shard.snapshot_path = dir + "/" + filename;
+    std::error_code ec;
+    if (!std::filesystem::exists(shard.snapshot_path, ec) || ec) {
+      return Status::NotFound("manifest names missing shard snapshot " +
+                              shard.snapshot_path);
     }
     service->shards_.push_back(std::move(shard));
   }
@@ -1510,9 +1427,16 @@ ShardedContainmentService::Load(const std::string& dir,
       service->shards_.push_back(std::move(shard));
     }
   }
+  // Without a resident budget every shard activates now, through the same
+  // path a lazy shard takes on its first query.
+  if (!lazy) {
+    std::shared_lock<std::shared_mutex> lock(service->state_mutex_);
+    for (const Shard& shard : service->shards_) {
+      Result<std::shared_ptr<ActiveShard>> active = service->PinShard(shard);
+      if (!active.ok()) return active.status();
+    }
+  }
   {
-    // Eager loads never pass through PinShard, so seed the resident gauges
-    // here; a lazy load starts at zero resident, which is also the truth.
     std::lock_guard<std::mutex> lock(service->resident_mutex_);
     service->UpdateResidentGaugesLocked();
   }
@@ -1520,32 +1444,50 @@ ShardedContainmentService::Load(const std::string& dir,
 }
 
 Result<ShardedContainmentService::ActiveShard>
-ShardedContainmentService::LoadShardPayload(const std::string& path) const {
+ShardedContainmentService::LoadShardPayload(const Shard& shard) const {
+  const std::string& path = shard.snapshot_path;
   ActiveShard active;
-  {
-    std::error_code ec;
-    const uintmax_t bytes = std::filesystem::file_size(path, ec);
-    active.resident_bytes = ec ? 0 : static_cast<uint64_t>(bytes);
-  }
+  std::error_code ec;
+  active.resident_bytes = std::filesystem::file_size(path, ec);
+  if (ec) active.resident_bytes = 0;
   Result<MappedSearcher> loaded = LoadSearcherSnapshotAuto(path);
   if (loaded.ok()) {
     active.mapping = std::move(loaded->mapping);
     active.dataset = std::move(loaded->dataset);
     active.searcher = std::move(loaded->searcher);
-    return active;
-  }
-  if (loaded.status().code() != StatusCode::kInvalidArgument) {
+  } else if (loaded.status().code() != StatusCode::kInvalidArgument) {
     return loaded.status();
+  } else {
+    // Not a searcher snapshot: a dataset snapshot for a method without
+    // snapshot support — rebuild the searcher deterministically.
+    Result<Dataset> dataset = Dataset::Load(path);
+    if (!dataset.ok()) return dataset.status();
+    active.dataset = std::make_unique<Dataset>(std::move(dataset.value()));
+    Result<std::unique_ptr<ContainmentSearcher>> searcher =
+        BuildShardSearcher(*active.dataset, 0);
+    if (!searcher.ok()) return searcher.status();
+    active.searcher = std::move(searcher.value());
   }
-  // Not a searcher snapshot: a dataset snapshot for a method without
-  // snapshot support — rebuild the searcher deterministically.
-  Result<Dataset> dataset = Dataset::Load(path);
-  if (!dataset.ok()) return dataset.status();
-  active.dataset = std::make_unique<Dataset>(std::move(dataset.value()));
-  Result<std::unique_ptr<ContainmentSearcher>> searcher =
-      BuildShardSearcher(*active.dataset, 0);
-  if (!searcher.ok()) return searcher.status();
-  active.searcher = std::move(searcher.value());
+  // Every global id must name a row: a file from another build would
+  // otherwise serve local ids past the end of the shard's id map. A mapped
+  // payload has no dataset; its index carries the row count.
+  size_t rows = SIZE_MAX;
+  if (active.dataset != nullptr) {
+    rows = active.dataset->size();
+  } else if (const auto* gbkmv = dynamic_cast<const GbKmvIndexSearcher*>(
+                 active.searcher.get())) {
+    rows = gbkmv->num_records();
+  } else if (const auto* freqset = dynamic_cast<const FreqSetSearcher*>(
+                 active.searcher.get())) {
+    rows = freqset->num_records();
+  }
+  if (rows != shard.global_ids.size()) {
+    return Status::Corruption(
+        "shard " + path + " holds " +
+        (rows == SIZE_MAX ? "an unknown number of" : std::to_string(rows)) +
+        " records but the manifest maps " +
+        std::to_string(shard.global_ids.size()));
+  }
   return active;
 }
 
@@ -1560,7 +1502,7 @@ ShardedContainmentService::PinShard(const Shard& shard) const {
   shard.lru_stamp = ++lru_clock_;
   if (shard.active == nullptr) {
     GBKMV_CHECK(!shard.snapshot_path.empty());
-    Result<ActiveShard> payload = LoadShardPayload(shard.snapshot_path);
+    Result<ActiveShard> payload = LoadShardPayload(shard);
     if (!payload.ok()) return payload.status();
     shard.active = std::make_shared<ActiveShard>(std::move(payload.value()));
     Metrics().shard_activations->Add(1);

@@ -67,6 +67,7 @@
 #include "core/containment.h"
 #include "data/dataset.h"
 #include "index/searcher.h"
+#include "obs/trace.h"
 #include "serve/mutation.h"
 #include "serve/query_cache.h"
 #include "sketch/gbkmv.h"
@@ -109,8 +110,15 @@ class ShardedContainmentService {
   // differ from interleaved sequential serving, and only under LRU
   // eviction pressure in the middle of the batch. Fan-out parallelises
   // over the (query, shard) grid of the unique cache misses.
-  std::vector<QueryResponse> BatchServe(std::span<const QueryRequest> requests,
-                                        size_t num_threads = 0);
+  //
+  // `server_spans[i]` (optional, may be shorter than `requests`) holds the
+  // work the network front end did for request i before this call — HTTP
+  // parse, queue wait — with absolute timestamps. It only shapes traces:
+  // a traced request's spans, searcher stages included, count from the
+  // earliest of them, so queue time shows up in the trace's total.
+  std::vector<QueryResponse> BatchServe(
+      std::span<const QueryRequest> requests, size_t num_threads = 0,
+      std::span<const std::vector<obs::ServerSpan>> server_spans = {});
 
   // --- mutation API (serve/mutation.h; one error taxonomy) ---------------
 
@@ -186,12 +194,15 @@ class ShardedContainmentService {
   // (v1/v2 still load — their separate ingest shard becomes one sealed
   // shard built with the service's method).
   //
-  // With options.max_resident_shards / max_resident_bytes non-zero, Load
-  // returns after reading only the manifest (shard files are checked to
-  // exist but not opened); shards activate on first query. An activation
-  // that fails later — the snapshot was deleted or corrupted after Load —
-  // is a fatal check: there is no per-response error channel, and serving
-  // without the shard would silently drop its records. The lifecycle knobs
+  // Load checks that every shard file exists, then activates the shards
+  // through PinShard, the one activation path: all of them before
+  // returning by default, or — with options.max_resident_shards /
+  // max_resident_bytes non-zero — each on its first query. Every
+  // activation verifies the file's row count against the manifest's
+  // global-id map (Corruption). An activation that fails at serve time —
+  // the snapshot was deleted or corrupted after Load — is a fatal check:
+  // there is no per-response error channel, and serving without the shard
+  // would silently drop its records. The lifecycle knobs
   // (compaction_tier_ratio with compaction_min_shards,
   // tombstone_purge_threshold) come from `options` when non-zero and from
   // the manifest otherwise; the partitioning and index knobs always come
@@ -302,11 +313,12 @@ class ShardedContainmentService {
   // (unique); Submit only enqueues, so scheduling under the lock is safe.
   void MaybeScheduleCompactionLocked();
 
-  // Loads one shard's payload from its snapshot file: mapped when the
-  // format and kind allow it (index/searcher_registry.h), copying
-  // otherwise, dataset-snapshot + deterministic rebuild for methods
-  // without searcher snapshots.
-  Result<ActiveShard> LoadShardPayload(const std::string& path) const;
+  // Loads a shard's payload from its snapshot_path: mapped when the format
+  // and kind allow it (index/searcher_registry.h), copying otherwise,
+  // dataset-snapshot + deterministic rebuild for methods without searcher
+  // snapshots. Corruption when the file's row count differs from the
+  // shard's global-id map. Called only by PinShard.
+  Result<ActiveShard> LoadShardPayload(const Shard& shard) const;
 
   // Returns the shard's resident payload, activating it from
   // snapshot_path if evicted; bumps the LRU stamp and, after an

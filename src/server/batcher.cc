@@ -223,12 +223,11 @@ BatchExecutor MakeServiceExecutor(std::function<ServiceSnapshot()> snapshot,
       request.want_stats = q.want_stats;
       requests.push_back(request);
     }
-    std::vector<QueryResponse> results;
+    // The reactor-side parse span and the queue wait, for the serve
+    // layer's trace assembly; only built while tracing.
+    std::vector<std::vector<obs::ServerSpan>> spans;
     if (obs::GlobalTracer().active()) {
-      // Hand the reactor-side parse span and the queue wait down to the
-      // serve layer's trace assembly (obs/trace.h). Passive: installed
-      // only while tracing, and never read by the serve path itself.
-      std::vector<std::vector<obs::ServerSpan>> spans(batch.size());
+      spans.resize(batch.size());
       for (size_t i = 0; i < batch.size(); ++i) {
         const PendingQuery& q = batch[i];
         if (q.parse_end_ns > q.parse_start_ns) {
@@ -240,14 +239,9 @@ BatchExecutor MakeServiceExecutor(std::function<ServiceSnapshot()> snapshot,
               {obs::Stage::kServerQueue, q.enqueue_ns, formed_ns});
         }
       }
-      const obs::BatchSpanSource source(std::move(spans));
-      const obs::ScopedBatchSpanSource scoped(&source);
-      results = snap.service->BatchServe(
-          std::span<const QueryRequest>(requests), num_threads);
-    } else {
-      results = snap.service->BatchServe(
-          std::span<const QueryRequest>(requests), num_threads);
     }
+    std::vector<QueryResponse> results =
+        snap.service->BatchServe(requests, num_threads, spans);
     for (size_t i = 0; i < batch.size(); ++i) {
       batch[i].done(std::move(results[i]), snap.epoch);
     }

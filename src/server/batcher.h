@@ -134,8 +134,8 @@ struct ServiceSnapshot {
 };
 
 // Executor that runs one BatchServe per batch against snapshot() and,
-// when tracing is active, hands the per-query server spans (parse, queue
-// wait) down through obs::ScopedBatchSpanSource.
+// when tracing is active, passes each query's server spans (parse, queue
+// wait) to it.
 BatchExecutor MakeServiceExecutor(std::function<ServiceSnapshot()> snapshot,
                                   size_t num_threads);
 

@@ -1,19 +1,25 @@
 // Observability is passive, end to end: serve responses — hit ids, float
 // scores, stats — are bit-identical with metrics on or off and with tracing
 // off, on, or at any sampling rate. Plus: the global cache counters mirror
-// the per-cache stats the API reports, traces carry the expected stages,
-// and snapshot I/O shows up in the persistence counters.
+// the per-cache stats the API reports, traces carry the expected stages
+// (server spans included, on one time origin), and snapshot I/O shows up in
+// the persistence counters.
 //
 // These tests mutate the process-wide registry/tracer, so each one restores
 // the default state (metrics enabled, tracer disarmed) on the way out.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
+#include <future>
+#include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/timer.h"
 #include "core/containment.h"
 #include "data/synthetic.h"
 #include "eval/ground_truth.h"
@@ -21,6 +27,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/sharded_service.h"
+#include "server/batcher.h"
 
 namespace gbkmv {
 namespace {
@@ -175,6 +182,75 @@ TEST_F(ObsIntegrationTest, TracesCarryServeAndSearcherStages) {
   for (const obs::TraceSpan& span : cached.spans) {
     EXPECT_NE(obs::Stage::kShardSearch, span.stage);
   }
+}
+
+// Server spans reach the trace through MakeServiceExecutor, and every span
+// of a traced request counts from one origin: the trace opens with the
+// HTTP parse at offset 0 and the queue wait after it, no span leaves
+// [0, total_ns], and each shard's searcher stages lie inside that shard's
+// shard_search span.
+TEST_F(ObsIntegrationTest, ServerSpansAndSearcherStagesShareTheTraceOrigin) {
+  obs::TracerConfig config;
+  config.sample_every = 1;
+  obs::GlobalTracer().Configure(config);
+  auto built = BuildService();
+  ASSERT_TRUE(built.ok());
+  const std::shared_ptr<ShardedContainmentService> service =
+      std::move(built.value());
+
+  std::promise<QueryResponse> answered;
+  {
+    server::MicroBatcher batcher(
+        server::MakeServiceExecutor(
+            [&] { return server::ServiceSnapshot{service, 1}; },
+            /*num_threads=*/2),
+        server::BatcherOptions{});
+    server::PendingQuery query;
+    query.record = TestDataset().record(7);
+    query.threshold = 0.5;
+    // A decode long enough that searcher stages timed from the wrong
+    // origin would land outside their shard's span.
+    query.parse_start_ns = MonotonicNanos();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    query.parse_end_ns = MonotonicNanos();
+    query.done = [&](QueryResponse response, uint64_t /*epoch*/) {
+      answered.set_value(std::move(response));
+    };
+    ASSERT_TRUE(batcher.Submit(std::move(query)));
+    (void)answered.get_future().get();
+  }
+
+  const std::vector<obs::QueryTrace> traces = obs::GlobalTracer().Recent();
+  ASSERT_EQ(1u, traces.size());
+  const obs::QueryTrace& trace = traces[0];
+  ASSERT_GE(trace.spans.size(), 2u);
+  EXPECT_EQ(obs::Stage::kServerParse, trace.spans[0].stage);
+  EXPECT_EQ(0u, trace.spans[0].start_ns);
+  EXPECT_GE(trace.spans[0].duration_ns, 2'000'000u);
+  EXPECT_EQ(obs::Stage::kServerQueue, trace.spans[1].stage);
+  std::map<int32_t, obs::TraceSpan> shard_spans;
+  for (const obs::TraceSpan& span : trace.spans) {
+    EXPECT_LE(span.start_ns + span.duration_ns, trace.total_ns)
+        << obs::StageName(span.stage);
+    if (span.stage == obs::Stage::kShardSearch) shard_spans[span.shard] = span;
+  }
+  ASSERT_EQ(3u, shard_spans.size());
+  size_t searcher_spans = 0;
+  for (const obs::TraceSpan& span : trace.spans) {
+    if (span.stage != obs::Stage::kSketch && span.stage != obs::Stage::kScan &&
+        span.stage != obs::Stage::kRefine) {
+      continue;
+    }
+    ++searcher_spans;
+    ASSERT_EQ(1u, shard_spans.count(span.shard));
+    const obs::TraceSpan& outer = shard_spans[span.shard];
+    EXPECT_GE(span.start_ns, outer.start_ns)
+        << obs::StageName(span.stage) << " shard " << span.shard;
+    EXPECT_LE(span.start_ns + span.duration_ns,
+              outer.start_ns + outer.duration_ns)
+        << obs::StageName(span.stage) << " shard " << span.shard;
+  }
+  EXPECT_EQ(9u, searcher_spans);  // sketch, scan, refine on each shard
 }
 
 TEST_F(ObsIntegrationTest, GlobalCacheCountersMirrorServiceStats) {

@@ -432,6 +432,100 @@ TEST(ShardedServiceTest, UnsupportedMethodsRejected) {
   }
 }
 
+// A manifest is checked like a Build config: one naming a method the
+// sharded service cannot pin globally is refused before any shard loads.
+TEST(ShardedServiceTest, ManifestNamingUnsupportedMethodRejected) {
+  const Dataset& ds = TestDataset();
+  const std::string dir = ::testing::TempDir() + "sharded_kmv_manifest";
+  const SearcherConfig config = ServiceConfig(SearchMethod::kBruteForce, 2);
+  Result<std::unique_ptr<ShardedContainmentService>> built =
+      serve::BuildShardedService(ds, config);
+  ASSERT_TRUE(built.ok());
+  ASSERT_TRUE((*built)->Save(dir).ok());  // dataset-snapshot shard files
+
+  io::SnapshotWriter manifest;
+  io::WriteSnapshotMeta(&manifest, io::kShardedManifestKind, 0);
+  io::Writer* out = manifest.AddSection(io::kSectionManifest);
+  out->PutU32(3);
+  out->PutString("kmv");
+  out->PutU8(static_cast<uint8_t>(config.sharded.partitioner));
+  out->PutDouble(config.space_ratio);
+  out->PutU64(static_cast<uint64_t>(config.buffer_bits));
+  out->PutU64(config.lshe_num_hashes);
+  out->PutU64(config.lshe_num_partitions);
+  out->PutU64(config.seed);
+  out->PutU64(0);          // cache capacity
+  out->PutU64(0);          // auto-promote records
+  out->PutU64(0);          // MinHash-LSH size hint
+  out->PutU64(ds.size());  // next global id
+  out->PutU64(2);          // base shard count
+  out->PutDouble(0.0);     // tier ratio
+  out->PutU64(2);          // min shards
+  out->PutDouble(0.0);     // purge threshold
+  out->PutBool(false);     // no sketcher
+  out->PutU64(2);
+  for (size_t k = 0; k < 2; ++k) {
+    const std::span<const RecordId> gids = (*built)->shard(k).global_ids;
+    out->PutString(k == 0 ? "shard-000.snap" : "shard-001.snap");
+    out->PutVecU32(std::vector<uint32_t>(gids.begin(), gids.end()));
+    out->PutVecU32({});  // no tombstones
+  }
+  out->PutBool(false);  // no open shard
+  ASSERT_TRUE(manifest.WriteTo(dir + "/manifest.snap").ok());
+
+  Result<std::unique_ptr<ShardedContainmentService>> loaded =
+      ShardedContainmentService::Load(dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(StatusCode::kInvalidArgument, loaded.status().code());
+  EXPECT_NE(loaded.status().message().find("not supported by the sharded"),
+            std::string::npos)
+      << loaded.status().ToString();
+  std::filesystem::remove_all(dir);
+}
+
+// Sharded FreqSet builds every shard with the configured posting store:
+// compressed answers bit-identically to flat, and its resident space is
+// exactly the sum of compressed builds over the same shard records.
+TEST(ShardedServiceTest, FreqSetShardsHonourPostingStore) {
+  const Dataset& ds = TestDataset();
+  const SearcherConfig flat_config = ServiceConfig(SearchMethod::kFreqSet, 4);
+  SearcherConfig compressed_config = flat_config;
+  compressed_config.posting_store = PostingStoreKind::kCompressed;
+  Result<std::unique_ptr<ShardedContainmentService>> flat =
+      serve::BuildShardedService(ds, flat_config);
+  Result<std::unique_ptr<ShardedContainmentService>> compressed =
+      serve::BuildShardedService(ds, compressed_config);
+  ASSERT_TRUE(flat.ok());
+  ASSERT_TRUE(compressed.ok());
+
+  uint64_t expected_units = 0;
+  for (size_t s = 0; s < (*compressed)->num_shards(); ++s) {
+    std::vector<Record> records;
+    for (RecordId id : (*compressed)->shard(s).global_ids) {
+      records.push_back(ds.record(id));
+    }
+    const Dataset shard = Dataset::Create(std::move(records)).value();
+    expected_units +=
+        FreqSetSearcher(shard, nullptr, PostingStoreKind::kCompressed)
+            .SpaceUnits();
+  }
+  EXPECT_EQ(expected_units, (*compressed)->SpaceUnits());
+  // Which store is smaller depends on list lengths (these shards are
+  // small); the point is that the knob reaches the shards.
+  EXPECT_NE((*compressed)->SpaceUnits(), (*flat)->SpaceUnits());
+
+  const std::vector<Record> queries = TestQueries(30);
+  for (size_t top_k : {size_t{0}, size_t{5}}) {
+    const auto requests = MakeRequests(queries, 0.5, top_k, true);
+    const auto expected = (*flat)->BatchServe(requests, 2);
+    const auto actual = (*compressed)->BatchServe(requests, 2);
+    for (size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(expected[i].hits, actual[i].hits)
+          << "top_k=" << top_k << " q" << i;
+    }
+  }
+}
+
 // --- query-result cache ---------------------------------------------------
 
 TEST(ShardedServiceTest, CacheServesIdenticalResponsesAndCounts) {
@@ -1382,6 +1476,30 @@ TEST(ShardedServiceTest, ManifestRoundTripsRebuildOnLoadMethod) {
 // memory"): a service whose shards were mapped in place answers exactly —
 // hit ids and float scores — like one restored through the copying loader,
 // for every shard and thread count.
+// Sets GBKMV_FORCE_COPY_LOAD for its scope ("0" = default loader, "1" =
+// copying loader) and restores the prior value, so the toggle composes
+// with the CI leg that exports the variable for the whole process.
+class ScopedForceCopyLoad {
+ public:
+  explicit ScopedForceCopyLoad(const char* value) {
+    const char* prior = std::getenv("GBKMV_FORCE_COPY_LOAD");
+    had_prior_ = prior != nullptr;
+    if (had_prior_) prior_ = prior;
+    ::setenv("GBKMV_FORCE_COPY_LOAD", value, 1);
+  }
+  ~ScopedForceCopyLoad() {
+    if (had_prior_) {
+      ::setenv("GBKMV_FORCE_COPY_LOAD", prior_.c_str(), 1);
+    } else {
+      ::unsetenv("GBKMV_FORCE_COPY_LOAD");
+    }
+  }
+
+ private:
+  bool had_prior_ = false;
+  std::string prior_;
+};
+
 TEST(ShardedServiceTest, MappedAndCopyingServiceLoadsAreBitIdentical) {
   const Dataset& ds = TestDataset();
   const std::string dir = ::testing::TempDir() + "sharded_loaders";
@@ -1396,18 +1514,10 @@ TEST(ShardedServiceTest, MappedAndCopyingServiceLoadsAreBitIdentical) {
     Result<std::unique_ptr<ShardedContainmentService>> mapped =
         ShardedContainmentService::Load(dir);
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-    // Restore (not unset) the override so the toggle composes with the CI
-    // leg that exports GBKMV_FORCE_COPY_LOAD for the whole process.
-    const char* prior_force = std::getenv("GBKMV_FORCE_COPY_LOAD");
-    const std::string prior_force_value = prior_force ? prior_force : "";
-    ::setenv("GBKMV_FORCE_COPY_LOAD", "1", 1);
-    Result<std::unique_ptr<ShardedContainmentService>> copied =
-        ShardedContainmentService::Load(dir);
-    if (prior_force != nullptr) {
-      ::setenv("GBKMV_FORCE_COPY_LOAD", prior_force_value.c_str(), 1);
-    } else {
-      ::unsetenv("GBKMV_FORCE_COPY_LOAD");
-    }
+    Result<std::unique_ptr<ShardedContainmentService>> copied = [&] {
+      const ScopedForceCopyLoad force("1");
+      return ShardedContainmentService::Load(dir);
+    }();
     ASSERT_TRUE(copied.ok()) << copied.status().ToString();
 
     const std::vector<Record> queries = TestQueries(25);
@@ -1424,6 +1534,46 @@ TEST(ShardedServiceTest, MappedAndCopyingServiceLoadsAreBitIdentical) {
       }
     }
     std::filesystem::remove_all(dir);
+  }
+}
+
+// A shard file swapped in from another build holds more rows than the
+// manifest maps. Every activation refuses it as Corruption, whichever
+// loader runs and whatever the shard kind (mapped-capable GB-KMV and
+// FreqSet indexes, a PPJoin dataset snapshot), instead of serving local
+// ids past the end of the shard's global-id map.
+TEST(ShardedServiceTest, ShardFileWithWrongRowCountIsCorruption) {
+  const Dataset& big = TestDataset();
+  const Dataset small =
+      Dataset::Create(std::vector<Record>(big.records().begin(),
+                                          big.records().begin() + 100))
+          .value();
+  const std::string dir = ::testing::TempDir() + "sharded_swapped";
+  const std::string other = ::testing::TempDir() + "sharded_swapped_other";
+  for (SearchMethod method : {SearchMethod::kGbKmv, SearchMethod::kFreqSet,
+                              SearchMethod::kPPJoin}) {
+    const SearcherConfig config = ServiceConfig(method, 2);
+    ASSERT_TRUE(
+        serve::BuildShardedService(small, config).value()->Save(dir).ok());
+    ASSERT_TRUE(
+        serve::BuildShardedService(big, config).value()->Save(other).ok());
+    std::filesystem::copy_file(
+        other + "/shard-001.snap", dir + "/shard-001.snap",
+        std::filesystem::copy_options::overwrite_existing);
+    for (const char* force : {"0", "1"}) {
+      const ScopedForceCopyLoad loader(force);
+      Result<std::unique_ptr<ShardedContainmentService>> loaded =
+          ShardedContainmentService::Load(dir);
+      ASSERT_FALSE(loaded.ok())
+          << "method " << static_cast<int>(method) << " force_copy=" << force;
+      EXPECT_EQ(StatusCode::kCorruption, loaded.status().code())
+          << loaded.status().ToString();
+      EXPECT_NE(loaded.status().message().find("shard-001.snap"),
+                std::string::npos)
+          << loaded.status().ToString();
+    }
+    std::filesystem::remove_all(dir);
+    std::filesystem::remove_all(other);
   }
 }
 
