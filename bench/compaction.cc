@@ -162,7 +162,7 @@ std::unique_ptr<serve::ShardedContainmentService> MakeStagedService(
         (*service)->Ingest(pool.record(opt.num_records + i));
     if (!gid.ok()) Die(gid.status(), "ingest");
     if ((i + 1) % per_wave == 0 || i + 1 == opt.num_extras) {
-      const Status promoted = (*service)->Promote();
+      const Status promoted = (*service)->Promote().status();
       if (!promoted.ok()) Die(promoted, "promote");
     }
   }
@@ -242,7 +242,7 @@ int Main(int argc, char** argv) {
     std::unique_ptr<serve::ShardedContainmentService> service =
         MakeStagedService(*pool, opt, config, opt.num_waves);
     WallTimer timer;
-    const Status compacted = service->Compact();
+    const Status compacted = service->Compact().status();
     if (!compacted.ok()) Die(compacted, "merge compaction");
     report.merge_seconds =
         std::min(report.merge_seconds, timer.ElapsedSeconds());
@@ -259,10 +259,8 @@ int Main(int argc, char** argv) {
       if (!result.ok()) Die(result.status(), "delete");
       ++deleted;
     }
-    serve::MutationRequest compact;
-    compact.kind = serve::MutationKind::kCompact;
     WallTimer timer;
-    const Result<serve::MutationResult> result = service->Apply(compact);
+    const Result<serve::MutationResult> result = service->Compact();
     if (!result.ok()) Die(result.status(), "purge rewrite");
     const double seconds = timer.ElapsedSeconds();
     if (seconds < report.purge_seconds) {
@@ -299,7 +297,7 @@ int Main(int argc, char** argv) {
             pool->record(opt.num_records + i % opt.num_extras));
         if (!gid.ok()) Die(gid.status(), "ingest (serving stage)");
         if ((i + 1) % per_wave == 0 || i + 1 == second_round) {
-          const Status promoted = service->Promote();
+          const Status promoted = service->Promote().status();
           if (!promoted.ok()) Die(promoted, "promote (serving stage)");
         }
       }

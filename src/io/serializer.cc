@@ -245,6 +245,18 @@ Status GetArrayImpl(Reader* reader, const uint8_t** payload, size_t* count) {
   *payload = reader->Skip(*count * sizeof(T));
   return Status::OK();
 }
+
+template <typename T>
+Status CopyArray(Reader* reader, std::vector<T>* out) {
+  const uint8_t* payload = nullptr;
+  size_t count = 0;
+  GBKMV_RETURN_IF_ERROR(GetArrayImpl<T>(reader, &payload, &count));
+  out->resize(count);
+  // An empty vector's data() may be null, and memcpy from or to null is
+  // undefined even for zero bytes.
+  if (count != 0) std::memcpy(out->data(), payload, count * sizeof(T));
+  return Status::OK();
+}
 }  // namespace
 
 Status Reader::GetArrayHeader(size_t elem_size, size_t* count) {
@@ -263,27 +275,18 @@ const uint8_t* Reader::Skip(size_t n) {
 }
 
 Status Reader::GetU32Array(std::vector<uint32_t>* out) {
-  const uint8_t* payload = nullptr;
-  size_t count = 0;
-  GBKMV_RETURN_IF_ERROR(GetArrayImpl<uint32_t>(this, &payload, &count));
-  out->resize(count);
-  std::memcpy(out->data(), payload, count * sizeof(uint32_t));
-  return Status::OK();
+  return CopyArray(this, out);
 }
 
 Status Reader::GetU64Array(std::vector<uint64_t>* out) {
-  const uint8_t* payload = nullptr;
-  size_t count = 0;
-  GBKMV_RETURN_IF_ERROR(GetArrayImpl<uint64_t>(this, &payload, &count));
-  out->resize(count);
-  std::memcpy(out->data(), payload, count * sizeof(uint64_t));
-  return Status::OK();
+  return CopyArray(this, out);
 }
 
 Status Reader::GetAlignedBytes(std::string* out) {
   const uint8_t* payload = nullptr;
   size_t count = 0;
   GBKMV_RETURN_IF_ERROR(GetArrayImpl<uint8_t>(this, &payload, &count));
+  // std::string::assign copies nothing for a zero count.
   out->assign(reinterpret_cast<const char*>(payload), count);
   return Status::OK();
 }

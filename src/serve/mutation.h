@@ -2,8 +2,8 @@
 // lifecycle").
 //
 // Every way the service can change — ingest a record, tombstone one,
-// seal the open shard, merge-compact promoted shards — goes through
-// one request/result vocabulary with one error taxonomy:
+// seal the open shard, merge-compact promoted shards — is a typed
+// method of the service with one error taxonomy:
 //
 //   InvalidArgument    malformed input (empty record, bad options)
 //   NotFound           Delete of an id that never existed or was purged
@@ -11,12 +11,11 @@
 //                      flight)
 //   Internal/other     build or I/O failure surfaced from below
 //
-// The service methods (serve/sharded_service.h) take these types directly:
+// The service methods (serve/sharded_service.h):
 //   Result<RecordId>        Ingest(Record)
 //   Result<MutationResult>  Delete(RecordId)
-//   Status                  Promote()
-//   Status                  Compact(CompactOptions)
-//   Result<MutationResult>  Apply(MutationRequest)   — uniform dispatch
+//   Result<MutationResult>  Promote()
+//   Result<MutationResult>  Compact(CompactOptions)
 //
 // The HTTP front end (docs/serving.md) maps the same Status codes onto
 // 400/404/409/500 for POST /v1/ingest, /v1/delete, /admin/promote and
@@ -33,13 +32,6 @@
 namespace gbkmv {
 namespace serve {
 
-enum class MutationKind {
-  kIngest,   // append a record to the open shard
-  kDelete,   // tombstone a record by global id
-  kPromote,  // seal the open shard into an immutable promoted shard
-  kCompact,  // merge-compact promoted shards (purges tombstones)
-};
-
 // Options for Compact(). Default: merge every promoted shard into one.
 struct CompactOptions {
   // When false and the service has a tiered policy configured
@@ -49,24 +41,14 @@ struct CompactOptions {
   bool all = true;
 };
 
-// One mutation, dispatchable via ShardedContainmentService::Apply. The
-// record is borrowed for kIngest; unused fields are ignored.
-struct MutationRequest {
-  MutationKind kind = MutationKind::kIngest;
-  Record record;          // kIngest
-  RecordId id = 0;        // kDelete
-  CompactOptions compact;  // kCompact
-};
-
-// What a mutation did. `id` is the assigned global id (kIngest) or the
-// tombstoned id (kDelete); `noop` is true when the mutation changed
-// nothing (double-delete of an already-tombstoned id, promote with no
-// open shard, compact with fewer than two promoted shards).
+// What a Delete, Promote or Compact did. `id` is the tombstoned id
+// (Delete); `noop` is true when the mutation changed nothing
+// (double-delete of an already-tombstoned id, promote with no open shard,
+// compact with fewer than two promoted shards).
 struct MutationResult {
-  MutationKind kind = MutationKind::kIngest;
   RecordId id = 0;
   bool noop = false;
-  // kCompact: how many promoted shards were merged away, and how many
+  // Compact: how many promoted shards were merged away, and how many
   // tombstoned rows were physically purged in the rewrite.
   size_t shards_merged = 0;
   size_t tombstones_purged = 0;

@@ -764,7 +764,6 @@ Result<RecordId> ShardedContainmentService::Ingest(Record record) {
 Result<MutationResult> ShardedContainmentService::Delete(RecordId id) {
   std::unique_lock<std::shared_mutex> lock(state_mutex_);
   MutationResult result;
-  result.kind = MutationKind::kDelete;
   result.id = id;
   if (id >= next_global_id_) {
     return Status::NotFound("record " + std::to_string(id) +
@@ -806,10 +805,11 @@ bool ShardedContainmentService::SealLocked() {
   return true;
 }
 
-Status ShardedContainmentService::Promote() {
+Result<MutationResult> ShardedContainmentService::Promote() {
   std::unique_lock<std::shared_mutex> lock(state_mutex_);
-  SealLocked();
-  return Status::OK();
+  MutationResult result;
+  result.noop = !SealLocked();
+  return result;
 }
 
 std::pair<size_t, size_t>
@@ -979,15 +979,8 @@ Status ShardedContainmentService::DoCompactRange(size_t lo, size_t hi,
   return Status::OK();
 }
 
-Status ShardedContainmentService::Compact(const CompactOptions& options) {
-  MutationResult result;
-  return CompactInternal(options, &result);
-}
-
-Status ShardedContainmentService::CompactInternal(
-    const CompactOptions& options, MutationResult* result) {
-  result->kind = MutationKind::kCompact;
-  result->noop = true;
+Result<MutationResult> ShardedContainmentService::Compact(
+    const CompactOptions& options) {
   // Join background work but do not let an old failure veto this
   // compaction (the stored status stays readable via
   // WaitForBackgroundWork).
@@ -1011,46 +1004,13 @@ Status ShardedContainmentService::CompactInternal(
       std::tie(lo, hi) = PickCompactionRangeLocked();
     }
   }
-  Status status = Status::OK();
-  if (hi > lo) {
-    result->noop = false;
-    result->shards_merged = hi - lo;
-    status = DoCompactRange(lo, hi, &result->tombstones_purged);
-  }
+  MutationResult result;
+  result.noop = hi <= lo;
+  result.shards_merged = hi - lo;
+  const Status status = DoCompactRange(lo, hi, &result.tombstones_purged);
   compaction_in_flight_.store(false);
-  return status;
-}
-
-Result<MutationResult> ShardedContainmentService::Apply(
-    const MutationRequest& request) {
-  switch (request.kind) {
-    case MutationKind::kIngest: {
-      Result<RecordId> id = Ingest(request.record);
-      if (!id.ok()) return id.status();
-      MutationResult result;
-      result.kind = MutationKind::kIngest;
-      result.id = *id;
-      return result;
-    }
-    case MutationKind::kDelete:
-      return Delete(request.id);
-    case MutationKind::kPromote: {
-      MutationResult result;
-      result.kind = MutationKind::kPromote;
-      std::unique_lock<std::shared_mutex> lock(state_mutex_);
-      result.noop = !SealLocked();
-      return result;
-    }
-    case MutationKind::kCompact: {
-      MutationResult result;
-      if (Status status = CompactInternal(request.compact, &result);
-          !status.ok()) {
-        return status;
-      }
-      return result;
-    }
-  }
-  return Status::InvalidArgument("unknown mutation kind");
+  if (!status.ok()) return status;
+  return result;
 }
 
 void ShardedContainmentService::JoinBackgroundTask() {

@@ -139,10 +139,10 @@ class ShardedContainmentService {
   Result<MutationResult> Delete(RecordId id);
 
   // Seals the open shard: it takes no further rows and becomes eligible
-  // for compaction. Nothing is rebuilt, so answers do not change. No-op
-  // without an open shard. May trigger a background tiered compaction
-  // (ServiceOptions::compaction_tier_ratio).
-  Status Promote();
+  // for compaction. Nothing is rebuilt, so answers do not change. `noop`
+  // in the result without an open shard. May trigger a background tiered
+  // compaction (ServiceOptions::compaction_tier_ratio).
+  Result<MutationResult> Promote();
 
   // Merge-compacts sealed promoted shards into one — at the index level for
   // GB-KMV/G-KMV (GbKmvIndexSearcher::Merge, no re-sketching), by a
@@ -150,12 +150,10 @@ class ShardedContainmentService {
   // methods — purging every tombstone in the merged range. options.all
   // merges all promoted shards (also a single tombstoned one, as a purge
   // rewrite); otherwise only the tiered policy's pick, which may be
-  // nothing. The original partition is left untouched. FailedPrecondition
-  // when a background compaction is already in flight.
-  Status Compact(const CompactOptions& options = {});
-
-  // Uniform dispatch of the typed mutation vocabulary.
-  Result<MutationResult> Apply(const MutationRequest& request);
+  // nothing (`noop`). The result counts the shards merged and the
+  // tombstones purged. The original partition is left untouched.
+  // FailedPrecondition when a background compaction is already in flight.
+  Result<MutationResult> Compact(const CompactOptions& options = {});
 
   // Blocks until any in-flight background compaction finishes and returns
   // its status (OK when none ran).
@@ -292,13 +290,6 @@ class ShardedContainmentService {
 
   // Waits for the latest background task (and so for every earlier one).
   void JoinBackgroundTask();
-
-  // Compact() / Apply(kCompact) body: joins background work, takes the
-  // in-flight token (FailedPrecondition when already held), resolves the
-  // range (all sealed promoted shards vs the policy's pick) and runs it,
-  // filling `result` with shards_merged / tombstones_purged / noop.
-  Status CompactInternal(const CompactOptions& options,
-                         MutationResult* result);
 
   // The tiered policy (docs/sharding.md "Shard lifecycle"): the maximal
   // newest-first suffix run of sealed promoted shards where each older

@@ -16,6 +16,7 @@
 #include <functional>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -69,8 +70,16 @@ constexpr uint64_t kListenTag = 0;
 constexpr uint64_t kWakeTag = 1;
 constexpr uint64_t kFirstConnId = 2;
 
-// One error taxonomy for the mutation endpoints (serve/mutation.h):
-// the service's Status code decides the HTTP status.
+// A response before HTTP framing.
+struct Reply {
+  int status = 200;
+  std::string body;
+  std::string_view content_type = "application/json";
+};
+
+// One error taxonomy for request bodies (wire.h parse errors are
+// InvalidArgument) and the mutation endpoints (serve/mutation.h): the
+// Status code decides the HTTP status.
 int HttpStatusFor(const Status& status) {
   switch (status.code()) {
     case StatusCode::kNotFound:
@@ -82,6 +91,10 @@ int HttpStatusFor(const Status& status) {
     default:
       return 500;
   }
+}
+
+Reply ErrorReply(const Status& status) {
+  return {HttpStatusFor(status), SerializeError(status.message())};
 }
 
 }  // namespace
@@ -416,26 +429,20 @@ class Server::Impl {
         const HttpParser::Outcome outcome = conn.parser.Next(&request);
         if (outcome == HttpParser::Outcome::kNeedMore) break;
         if (outcome == HttpParser::Outcome::kError) {
-          stats_http_errors_.fetch_add(1, std::memory_order_relaxed);
-          if (obs::GlobalMetrics().enabled()) {
-            Metrics().http_errors->Add(1);
-          }
-          const uint64_t seq = conn.next_seq++;
-          conn.slots.push_back({seq, false, true, {}});
-          HttpResponseOptions http;
-          http.keep_alive = false;
-          FillSlot(reactor, conn, seq,
-                   BuildHttpResponse(
-                       conn.parser.error_http_status(),
-                       SerializeError(conn.parser.error_message()), http),
-                   true);
+          // Terminal for the connection: answer, close once flushed (which
+          // FillSlot may do right away).
           conn.want_close = true;
-          break;
+          FillSlot(reactor, conn, Reserve(conn),
+                   Frame({conn.parser.error_http_status(),
+                          SerializeError(conn.parser.error_message())},
+                         /*keep_alive=*/false),
+                   /*close_after=*/true);
+          return reactor.conns.contains(conn_id);
         }
         stats_requests_.fetch_add(1, std::memory_order_relaxed);
         if (obs::GlobalMetrics().enabled()) Metrics().requests->Add(1);
-        HandleRequest(reactor, conn, std::move(request), parse_start_ns);
-        if (reactor.conns.find(conn_id) == reactor.conns.end()) {
+        HandleRequest(reactor, conn, request, parse_start_ns);
+        if (!reactor.conns.contains(conn_id)) {
           return false;  // handler closed the connection
         }
       }
@@ -448,332 +455,236 @@ class Server::Impl {
       }
       conn.want_close = true;
     }
-    return reactor.conns.find(conn_id) != reactor.conns.end();
+    return true;
   }
 
-  void RespondNow(Reactor& reactor, Connection& conn, int status,
-                  std::string_view body,
-                  const HttpResponseOptions& http) {
-    const uint64_t seq = conn.next_seq++;
-    conn.slots.push_back({seq, false, !http.keep_alive, {}});
-    if (status >= 400 && status != 429) {
+  // Reserves the connection's next response slot; responses leave in
+  // reservation order.
+  static uint64_t Reserve(Connection& conn) {
+    conn.slots.emplace_back().seq = conn.next_seq;
+    return conn.next_seq++;
+  }
+
+  // Frames every response the server sends, on any thread. The one place
+  // HTTP errors are counted: status >= 400 except 429, the shed answer,
+  // which carries Retry-After instead.
+  std::string Frame(const Reply& reply, bool keep_alive) {
+    HttpResponseOptions http;
+    http.content_type = reply.content_type;
+    http.keep_alive = keep_alive;
+    if (reply.status == 429) {
+      http.extra_headers.push_back({"Retry-After", retry_after_value_});
+    } else if (reply.status >= 400) {
       stats_http_errors_.fetch_add(1, std::memory_order_relaxed);
       if (obs::GlobalMetrics().enabled()) Metrics().http_errors->Add(1);
     }
-    FillSlot(reactor, conn, seq, BuildHttpResponse(status, body, http),
-             !http.keep_alive);
+    return BuildHttpResponse(reply.status, reply.body, http);
   }
 
+  // Where a request's response goes: its reserved slot on a connection
+  // named by id, so one that closed meanwhile drops the response.
+  struct ReplyTo {
+    size_t reactor_index;
+    uint64_t conn_id;
+    uint64_t seq;
+    bool keep_alive;
+  };
+
+  // Frames `reply` on the calling thread, off the reactor, and hands it
+  // to its slot on the reactor's thread.
+  void PostCompletion(const ReplyTo& to, const Reply& reply) {
+    Post(to.reactor_index,
+         [this, to, payload = Frame(reply, to.keep_alive)]() mutable {
+           Reactor& reactor = reactors_[to.reactor_index];
+           auto it = reactor.conns.find(to.conn_id);
+           if (it == reactor.conns.end()) return;  // connection died
+           FillSlot(reactor, *it->second, to.seq, std::move(payload),
+                    !to.keep_alive);
+         });
+  }
+
+  // One request whose response slot is reserved. A handler returns the
+  // Reply to send now, or nothing when it answers later through
+  // PostCompletion.
+  struct Exchange {
+    const HttpRequest& request;
+    uint64_t parse_start_ns;
+    ReplyTo to;
+  };
+
+  struct Route {
+    std::string_view target;
+    std::string_view method;
+    bool refuse_while_draining;  // 503 once Shutdown() began
+    std::optional<Reply> (Impl::*handle)(const Exchange&);
+  };
+
   void HandleRequest(Reactor& reactor, Connection& conn,
-                     HttpRequest request, uint64_t parse_start_ns) {
-    const size_t reactor_index = ReactorIndex(reactor);
-    HttpResponseOptions http;
-    http.keep_alive = request.keep_alive;
-    const bool draining = draining_.load(std::memory_order_acquire);
-
-    if (request.target == "/healthz") {
-      if (request.method != "GET") {
-        RespondNow(reactor, conn, 405, SerializeError("use GET"), http);
-        return;
-      }
-      http.content_type = "text/plain";
-      if (draining) {
-        RespondNow(reactor, conn, 503, "draining\n", http);
-      } else {
-        RespondNow(reactor, conn, 200, "ok\n", http);
-      }
-      return;
+                     const HttpRequest& request, uint64_t parse_start_ns) {
+    const Exchange exchange{
+        request,
+        parse_start_ns,
+        {ReactorIndex(reactor), conn.id, Reserve(conn), request.keep_alive}};
+    if (std::optional<Reply> reply = Dispatch(exchange)) {
+      FillSlot(reactor, conn, exchange.to.seq,
+               Frame(*reply, request.keep_alive), !request.keep_alive);
     }
+  }
 
-    if (request.target == "/metricsz") {
-      if (request.method != "GET") {
-        RespondNow(reactor, conn, 405, SerializeError("use GET"), http);
-        return;
+  // The route table: an endpoint is one entry. Targets match exactly.
+  std::optional<Reply> Dispatch(const Exchange& exchange) {
+    static constexpr Route kRoutes[] = {
+        {"/healthz", "GET", false, &Impl::OnHealthz},
+        {"/metricsz", "GET", false, &Impl::OnMetricsz},
+        {"/v1/query", "POST", true, &Impl::OnQuery},
+        {"/v1/ingest", "POST", true, &Impl::OnIngest},
+        {"/v1/delete", "POST", true, &Impl::OnDelete},
+        {"/admin/promote", "POST", false, &Impl::OnPromote},
+        {"/admin/compact", "POST", false, &Impl::OnCompact},
+        {"/admin/reload", "POST", false, &Impl::OnReload},
+    };
+    const HttpRequest& request = exchange.request;
+    for (const Route& route : kRoutes) {
+      if (route.target != request.target) continue;
+      if (route.method != request.method) {
+        return Reply{405, SerializeError("use " + std::string(route.method))};
       }
-      obs::MetricsRegistry& registry = obs::GlobalMetrics();
-      obs::UpdateProcessGauges(registry);
-      http.content_type = "text/plain; version=0.0.4";
-      RespondNow(reactor, conn, 200,
-                 obs::SnapshotToPrometheus(registry.Snapshot()), http);
-      return;
+      if (route.refuse_while_draining &&
+          draining_.load(std::memory_order_acquire)) {
+        return Reply{503, SerializeError("draining")};
+      }
+      return (this->*route.handle)(exchange);
     }
+    return Reply{404, SerializeError("unknown endpoint")};
+  }
 
-    if (request.target == "/v1/query") {
-      if (request.method != "POST") {
-        RespondNow(reactor, conn, 405, SerializeError("use POST"), http);
-        return;
-      }
-      if (draining) {
-        RespondNow(reactor, conn, 503, SerializeError("draining"), http);
-        return;
-      }
-      Result<QueryBody> body = ParseQueryBody(request.body);
-      if (!body.ok()) {
-        RespondNow(reactor, conn, 400,
-                   SerializeError(body.status().message()), http);
-        return;
-      }
-      const uint64_t seq = conn.next_seq++;
-      conn.slots.push_back({seq, false, false, {}});
-      PendingQuery query;
-      query.record = std::move(body.value().elements);
-      query.threshold = body.value().has_threshold
-                            ? body.value().threshold
-                            : options_.default_threshold;
-      query.top_k = body.value().top_k;
-      query.want_scores = body.value().want_scores;
-      query.want_stats = body.value().want_stats;
-      query.parse_start_ns = parse_start_ns;
-      query.parse_end_ns = MonotonicNanos();
-      const uint64_t conn_id = conn.id;
-      const bool keep_alive = request.keep_alive;
-      const bool want_scores = query.want_scores;
-      const bool want_stats = query.want_stats;
-      query.done = [this, reactor_index, conn_id, seq, keep_alive,
-                    want_scores, want_stats,
-                    parse_start_ns](QueryResponse response,
-                                    uint64_t epoch) {
-        // Batch-worker thread: serialize here, off the reactor.
-        HttpResponseOptions done_http;
-        done_http.keep_alive = keep_alive;
-        std::string payload = BuildHttpResponse(
-            200,
-            SerializeQueryResponse(response, epoch, want_scores,
-                                   want_stats),
-            done_http);
-        stats_queries_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::GlobalMetrics().enabled()) {
-          Metrics().queries->Add(1);
-          Metrics().request_latency_ns->Record(MonotonicNanos() -
-                                               parse_start_ns);
-        }
-        Post(reactor_index,
-             [this, reactor_index, conn_id, seq,
-              payload = std::move(payload), keep_alive]() mutable {
-               Reactor& r = reactors_[reactor_index];
-               auto it = r.conns.find(conn_id);
-               if (it == r.conns.end()) return;  // connection died
-               FillSlot(r, *it->second, seq, std::move(payload),
-                        !keep_alive);
-             });
-      };
-      if (!batcher_->Submit(std::move(query))) {
-        stats_shed_.fetch_add(1, std::memory_order_relaxed);
-        http.extra_headers.push_back(
-            {"Retry-After", retry_after_value_});
-        FillSlot(reactor, conn, seq,
-                 BuildHttpResponse(429, SerializeError("overloaded"),
-                                   http),
-                 !request.keep_alive);
-      }
-      return;
+  std::optional<Reply> OnHealthz(const Exchange&) {
+    if (draining_.load(std::memory_order_acquire)) {
+      return Reply{503, "draining\n", "text/plain"};
     }
+    return Reply{200, "ok\n", "text/plain"};
+  }
 
-    if (request.target == "/v1/ingest") {
-      if (request.method != "POST") {
-        RespondNow(reactor, conn, 405, SerializeError("use POST"), http);
-        return;
+  std::optional<Reply> OnMetricsz(const Exchange&) {
+    obs::MetricsRegistry& registry = obs::GlobalMetrics();
+    obs::UpdateProcessGauges(registry);
+    return Reply{200, obs::SnapshotToPrometheus(registry.Snapshot()),
+                 "text/plain; version=0.0.4"};
+  }
+
+  std::optional<Reply> OnQuery(const Exchange& exchange) {
+    Result<QueryBody> body = ParseQueryBody(exchange.request.body);
+    if (!body.ok()) return ErrorReply(body.status());
+    PendingQuery query;
+    query.record = std::move(body->elements);
+    query.threshold = body->has_threshold ? body->threshold
+                                          : options_.default_threshold;
+    query.top_k = body->top_k;
+    query.want_scores = body->want_scores;
+    query.want_stats = body->want_stats;
+    query.parse_start_ns = exchange.parse_start_ns;
+    query.parse_end_ns = MonotonicNanos();
+    query.done = [this, to = exchange.to, want_scores = query.want_scores,
+                  want_stats = query.want_stats,
+                  parse_start_ns = exchange.parse_start_ns](
+                     QueryResponse response, uint64_t epoch) {
+      // Batch-worker thread: serialize here, off the reactor.
+      Reply reply{200, SerializeQueryResponse(response, epoch, want_scores,
+                                              want_stats)};
+      stats_queries_.fetch_add(1, std::memory_order_relaxed);
+      if (obs::GlobalMetrics().enabled()) {
+        Metrics().queries->Add(1);
+        Metrics().request_latency_ns->Record(MonotonicNanos() -
+                                             parse_start_ns);
       }
-      if (draining) {
-        RespondNow(reactor, conn, 503, SerializeError("draining"), http);
-        return;
-      }
-      Result<IngestBody> body = ParseIngestBody(request.body);
-      if (!body.ok()) {
-        RespondNow(reactor, conn, 400,
-                   SerializeError(body.status().message()), http);
-        return;
-      }
-      // Inline on the reactor: an ingest sketches one row and folds it into
-      // the open shard, bounded by the seal size (compaction work happens
-      // on the service's own background thread).
+      PostCompletion(to, reply);
+    };
+    if (!batcher_->Submit(std::move(query))) {
+      stats_shed_.fetch_add(1, std::memory_order_relaxed);
+      return Reply{429, SerializeError("overloaded")};
+    }
+    return std::nullopt;
+  }
+
+  // Inline on the reactor: an ingest sketches one row and folds it into
+  // the open shard, bounded by the seal size (compaction work happens on
+  // the service's own background thread).
+  std::optional<Reply> OnIngest(const Exchange& exchange) {
+    Result<IngestBody> body = ParseIngestBody(exchange.request.body);
+    if (!body.ok()) return ErrorReply(body.status());
+    const ServiceSnapshot snapshot = Snapshot();
+    Result<RecordId> id = snapshot.service->Ingest(std::move(body->elements));
+    if (!id.ok()) return ErrorReply(id.status());
+    return Reply{200, SerializeIngestResult(snapshot.epoch, *id)};
+  }
+
+  // Inline on the reactor: a delete is a tombstone bit flip.
+  std::optional<Reply> OnDelete(const Exchange& exchange) {
+    Result<DeleteBody> body = ParseDeleteBody(exchange.request.body);
+    if (!body.ok()) return ErrorReply(body.status());
+    const ServiceSnapshot snapshot = Snapshot();
+    Result<serve::MutationResult> deleted =
+        snapshot.service->Delete(body->id);
+    if (!deleted.ok()) return ErrorReply(deleted.status());
+    return Reply{200, SerializeDeleteResult(snapshot.epoch, deleted->id,
+                                            !deleted->noop)};
+  }
+
+  // The admin operations run on the admin thread (RunAdmin). Promote
+  // ignores its body.
+  std::optional<Reply> OnPromote(const Exchange& exchange) {
+    return RunAdmin(exchange, [this] {
       const ServiceSnapshot snapshot = Snapshot();
-      serve::MutationRequest mutation;
-      mutation.kind = serve::MutationKind::kIngest;
-      mutation.record = std::move(body.value().elements);
-      Result<serve::MutationResult> applied =
-          snapshot.service->Apply(mutation);
-      if (!applied.ok()) {
-        RespondNow(reactor, conn, HttpStatusFor(applied.status()),
-                   SerializeError(applied.status().message()), http);
-        return;
-      }
-      RespondNow(reactor, conn, 200,
-                 SerializeIngestResult(snapshot.epoch, applied.value().id),
-                 http);
-      return;
-    }
+      Result<serve::MutationResult> promoted = snapshot.service->Promote();
+      if (!promoted.ok()) return ErrorReply(promoted.status());
+      return Reply{200,
+                   SerializePromoteResult(snapshot.epoch, !promoted->noop)};
+    });
+  }
 
-    if (request.target == "/v1/delete") {
-      if (request.method != "POST") {
-        RespondNow(reactor, conn, 405, SerializeError("use POST"), http);
-        return;
-      }
-      if (draining) {
-        RespondNow(reactor, conn, 503, SerializeError("draining"), http);
-        return;
-      }
-      Result<DeleteBody> body = ParseDeleteBody(request.body);
-      if (!body.ok()) {
-        RespondNow(reactor, conn, 400,
-                   SerializeError(body.status().message()), http);
-        return;
-      }
-      // Inline on the reactor: a delete is a tombstone bit flip.
+  std::optional<Reply> OnCompact(const Exchange& exchange) {
+    Result<CompactBody> body = ParseCompactBody(exchange.request.body);
+    if (!body.ok()) return ErrorReply(body.status());
+    return RunAdmin(exchange, [this, all = body->all] {
       const ServiceSnapshot snapshot = Snapshot();
-      serve::MutationRequest mutation;
-      mutation.kind = serve::MutationKind::kDelete;
-      mutation.id = body.value().id;
-      Result<serve::MutationResult> applied =
-          snapshot.service->Apply(mutation);
-      if (!applied.ok()) {
-        RespondNow(reactor, conn, HttpStatusFor(applied.status()),
-                   SerializeError(applied.status().message()), http);
-        return;
-      }
-      RespondNow(reactor, conn, 200,
-                 SerializeDeleteResult(snapshot.epoch, applied.value().id,
-                                       !applied.value().noop),
-                 http);
-      return;
-    }
+      Result<serve::MutationResult> compacted =
+          snapshot.service->Compact({.all = all});
+      if (!compacted.ok()) return ErrorReply(compacted.status());
+      return Reply{200, SerializeCompactResult(
+                            snapshot.epoch, compacted->shards_merged,
+                            compacted->tombstones_purged, compacted->noop)};
+    });
+  }
 
-    if (request.target == "/admin/promote" ||
-        request.target == "/admin/compact") {
-      if (request.method != "POST") {
-        RespondNow(reactor, conn, 405, SerializeError("use POST"), http);
-        return;
+  std::optional<Reply> OnReload(const Exchange& exchange) {
+    Result<ReloadBody> body = ParseReloadBody(exchange.request.body);
+    if (!body.ok()) return ErrorReply(body.status());
+    return RunAdmin(exchange, [this, dir = std::move(body->dir)] {
+      Result<uint64_t> epoch = Reload(dir);
+      if (!epoch.ok()) {
+        return Reply{500, SerializeError(epoch.status().ToString())};
       }
-      const bool is_promote = request.target == "/admin/promote";
-      serve::MutationRequest mutation;
-      if (is_promote) {
-        mutation.kind = serve::MutationKind::kPromote;
-      } else {
-        Result<CompactBody> body = ParseCompactBody(request.body);
-        if (!body.ok()) {
-          RespondNow(reactor, conn, 400,
-                     SerializeError(body.status().message()), http);
-          return;
-        }
-        mutation.kind = serve::MutationKind::kCompact;
-        mutation.compact.all = body.value().all;
-      }
-      if (admin_running_.exchange(true)) {
-        RespondNow(reactor, conn, 409,
-                   SerializeError("an admin operation is already running"),
-                   http);
-        return;
-      }
-      const uint64_t seq = conn.next_seq++;
-      conn.slots.push_back({seq, false, false, {}});
-      const uint64_t conn_id = conn.id;
-      const bool keep_alive = request.keep_alive;
-      if (admin_thread_.joinable()) admin_thread_.join();
-      // Off the reactor: compaction joins in-flight background work and
-      // builds the merged shard; queries keep flowing on the reactors
-      // meanwhile (the service swaps under its own lock).
-      admin_thread_ = std::thread([this, reactor_index, conn_id, seq,
-                                   keep_alive, mutation] {
-        const ServiceSnapshot snapshot = Snapshot();
-        Result<serve::MutationResult> applied =
-            snapshot.service->Apply(mutation);
-        HttpResponseOptions done_http;
-        done_http.keep_alive = keep_alive;
-        std::string payload;
-        if (applied.ok()) {
-          const serve::MutationResult& r = applied.value();
-          payload = BuildHttpResponse(
-              200,
-              r.kind == serve::MutationKind::kPromote
-                  ? SerializePromoteResult(snapshot.epoch, !r.noop)
-                  : SerializeCompactResult(snapshot.epoch, r.shards_merged,
-                                           r.tombstones_purged, r.noop),
-              done_http);
-        } else {
-          payload = BuildHttpResponse(
-              HttpStatusFor(applied.status()),
-              SerializeError(applied.status().message()), done_http);
-          stats_http_errors_.fetch_add(1, std::memory_order_relaxed);
-          if (obs::GlobalMetrics().enabled()) {
-            Metrics().http_errors->Add(1);
-          }
-        }
-        admin_running_.store(false);
-        Post(reactor_index,
-             [this, reactor_index, conn_id, seq,
-              payload = std::move(payload), keep_alive]() mutable {
-               Reactor& r = reactors_[reactor_index];
-               auto it = r.conns.find(conn_id);
-               if (it == r.conns.end()) return;
-               FillSlot(r, *it->second, seq, std::move(payload),
-                        !keep_alive);
-             });
-      });
-      return;
-    }
+      return Reply{200, "{\"epoch\":" + std::to_string(*epoch) + "}"};
+    });
+  }
 
-    if (request.target == "/admin/reload") {
-      if (request.method != "POST") {
-        RespondNow(reactor, conn, 405, SerializeError("use POST"), http);
-        return;
-      }
-      Result<ReloadBody> body = ParseReloadBody(request.body);
-      if (!body.ok()) {
-        RespondNow(reactor, conn, 400,
-                   SerializeError(body.status().message()), http);
-        return;
-      }
-      if (admin_running_.exchange(true)) {
-        RespondNow(reactor, conn, 409,
-                   SerializeError("an admin operation is already running"),
-                   http);
-        return;
-      }
-      const uint64_t seq = conn.next_seq++;
-      conn.slots.push_back({seq, false, false, {}});
-      const uint64_t conn_id = conn.id;
-      const bool keep_alive = request.keep_alive;
-      if (admin_thread_.joinable()) admin_thread_.join();
-      // Load runs off the reactor: a multi-GB manifest must not stall
-      // the event loop that is still serving queries.
-      admin_thread_ = std::thread([this, reactor_index, conn_id, seq,
-                                   keep_alive,
-                                   dir = std::move(body.value().dir)] {
-        Result<uint64_t> swapped = Reload(dir);
-        HttpResponseOptions done_http;
-        done_http.keep_alive = keep_alive;
-        std::string payload =
-            swapped.ok()
-                ? BuildHttpResponse(
-                      200,
-                      "{\"epoch\":" + std::to_string(swapped.value()) +
-                          "}",
-                      done_http)
-                : BuildHttpResponse(
-                      500, SerializeError(swapped.status().ToString()),
-                      done_http);
-        if (!swapped.ok()) {
-          stats_http_errors_.fetch_add(1, std::memory_order_relaxed);
-          if (obs::GlobalMetrics().enabled()) {
-            Metrics().http_errors->Add(1);
-          }
-        }
-        admin_running_.store(false);
-        Post(reactor_index,
-             [this, reactor_index, conn_id, seq,
-              payload = std::move(payload), keep_alive]() mutable {
-               Reactor& r = reactors_[reactor_index];
-               auto it = r.conns.find(conn_id);
-               if (it == r.conns.end()) return;
-               FillSlot(r, *it->second, seq, std::move(payload),
-                        !keep_alive);
-             });
-      });
-      return;
+  // Runs `job` (which returns the Reply) off the reactor: compaction joins
+  // in-flight background work and builds the merged shard, a reload loads
+  // a whole manifest, and queries keep flowing on the reactors meanwhile.
+  // One admin operation at a time; a second one meanwhile gets 409.
+  template <typename Job>
+  std::optional<Reply> RunAdmin(const Exchange& exchange, Job job) {
+    if (admin_running_.exchange(true)) {
+      return Reply{409,
+                   SerializeError("an admin operation is already running")};
     }
-
-    RespondNow(reactor, conn, 404, SerializeError("unknown endpoint"),
-               http);
+    if (admin_thread_.joinable()) admin_thread_.join();
+    admin_thread_ = std::thread([this, to = exchange.to, job = std::move(job)] {
+      const Reply reply = job();
+      admin_running_.store(false);
+      PostCompletion(to, reply);
+    });
+    return std::nullopt;
   }
 
   void FillSlot(Reactor& reactor, Connection& conn, uint64_t seq,

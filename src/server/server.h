@@ -11,8 +11,10 @@
 // Responses on one connection are sequenced, so pipelined requests answer
 // in request order even when batches complete out of order.
 //
-// Endpoints:
+// Endpoints (one route-table entry each in server.cc; docs/serving.md):
 //   POST /v1/query     compact JSON query (server/wire.h) -> hits + epoch
+//   POST /v1/ingest, /v1/delete, /admin/promote, /admin/compact
+//                      the service's typed mutations (serve/mutation.h)
 //   GET  /healthz      liveness ("ok", or "draining" + 503 during drain)
 //   GET  /metricsz     Prometheus exposition of the global registry
 //   POST /admin/reload {"dir": ...} -> graceful manifest swap

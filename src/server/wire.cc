@@ -34,11 +34,6 @@ class JsonScanner {
     return false;
   }
 
-  bool Peek(char c) {
-    SkipWs();
-    return pos_ < s_.size() && s_[pos_] == c;
-  }
-
   bool AtEnd() {
     SkipWs();
     return pos_ == s_.size();
@@ -101,6 +96,42 @@ class JsonScanner {
     return false;
   }
 
+  // How walking an object or array ended.
+  enum class Walk {
+    kOk,
+    kWrongType,  // no '{' / '[' at the cursor
+    kMalformed,  // bad key, missing ':' or ','
+    kBadValue,   // the callback rejected a value
+  };
+
+  // The one loop over an object's keys: "key": value pairs separated by
+  // ',' between braces. on_key(key) consumes the value at the cursor and
+  // returns false when it is malformed.
+  template <typename OnKey>
+  Walk Object(OnKey&& on_key) {
+    if (!Consume('{')) return Walk::kWrongType;
+    if (Consume('}')) return Walk::kOk;
+    std::string key;
+    for (;;) {
+      if (!ParseString(&key) || !Consume(':')) return Walk::kMalformed;
+      if (!on_key(key)) return Walk::kBadValue;
+      if (Consume('}')) return Walk::kOk;
+      if (!Consume(',')) return Walk::kMalformed;
+    }
+  }
+
+  // Array counterpart of Object(): on_element() consumes one value.
+  template <typename OnElement>
+  Walk Array(OnElement&& on_element) {
+    if (!Consume('[')) return Walk::kWrongType;
+    if (Consume(']')) return Walk::kOk;
+    for (;;) {
+      if (!on_element()) return Walk::kBadValue;
+      if (Consume(']')) return Walk::kOk;
+      if (!Consume(',')) return Walk::kMalformed;
+    }
+  }
+
   // Skips any value of the subset (for unknown keys).
   bool SkipValue(int depth = 0) {
     if (depth > 16) return false;
@@ -111,19 +142,13 @@ class JsonScanner {
       std::string ignored;
       return ParseString(&ignored);
     }
-    if (c == '{' || c == '[') {
-      const char close = c == '{' ? '}' : ']';
-      ++pos_;
-      if (Consume(close)) return true;
-      for (;;) {
-        if (c == '{') {
-          std::string key;
-          if (!ParseString(&key) || !Consume(':')) return false;
-        }
-        if (!SkipValue(depth + 1)) return false;
-        if (Consume(close)) return true;
-        if (!Consume(',')) return false;
-      }
+    if (c == '{') {
+      return Object([&](const std::string&) {
+               return SkipValue(depth + 1);
+             }) == Walk::kOk;
+    }
+    if (c == '[') {
+      return Array([&] { return SkipValue(depth + 1); }) == Walk::kOk;
     }
     if (s_.substr(pos_).starts_with("null")) {
       pos_ += 4;
@@ -140,21 +165,24 @@ class JsonScanner {
   size_t pos_ = 0;
 };
 
-bool ParseUintArray(JsonScanner& scanner, std::vector<uint32_t>* out) {
-  if (!scanner.Consume('[')) return false;
-  out->clear();
-  if (scanner.Consume(']')) return true;
-  for (;;) {
+using Walk = JsonScanner::Walk;
+
+// An array of uint32 element ids, normalised (MakeRecord).
+bool ParseElements(JsonScanner& scanner, Record* out) {
+  std::vector<uint32_t> elements;
+  const Walk walk = scanner.Array([&] {
     double value = 0.0;
-    if (!scanner.ParseNumber(&value)) return false;
-    if (value < 0 || value > std::numeric_limits<uint32_t>::max() ||
+    if (!scanner.ParseNumber(&value) || value < 0 ||
+        value > std::numeric_limits<uint32_t>::max() ||
         value != std::floor(value)) {
       return false;
     }
-    out->push_back(static_cast<uint32_t>(value));
-    if (scanner.Consume(']')) return true;
-    if (!scanner.Consume(',')) return false;
-  }
+    elements.push_back(static_cast<uint32_t>(value));
+    return true;
+  });
+  if (walk != Walk::kOk) return false;
+  *out = MakeRecord(std::move(elements));
+  return true;
 }
 
 bool ParseSizeT(JsonScanner& scanner, size_t* out) {
@@ -163,6 +191,72 @@ bool ParseSizeT(JsonScanner& scanner, size_t* out) {
   if (value < 0 || value != std::floor(value) || value > 1e15) return false;
   *out = static_cast<size_t>(value);
   return true;
+}
+
+// Parses `json` as exactly one object, handing each key to
+// on_key(scanner, key), which consumes the value and returns OK or the
+// error to answer. The object's own syntax errors name the body:
+// "<name> must be a JSON object", "malformed <name>", "trailing bytes
+// after <name>", all with status `code`.
+template <typename OnKey>
+Status ParseObject(std::string_view json, std::string_view name,
+                   StatusCode code, OnKey&& on_key) {
+  JsonScanner scanner(json);
+  Status value_status;
+  switch (scanner.Object([&](const std::string& key) {
+    value_status = on_key(scanner, key);
+    return value_status.ok();
+  })) {
+    case Walk::kOk:
+      break;
+    case Walk::kWrongType:
+      return Status(code, std::string(name) + " must be a JSON object");
+    case Walk::kMalformed:
+      return Status(code, "malformed " + std::string(name));
+    case Walk::kBadValue:
+      return value_status;
+  }
+  if (!scanner.AtEnd()) {
+    return Status(code, "trailing bytes after " + std::string(name));
+  }
+  return Status::OK();
+}
+
+Status MalformedValue(const std::string& key) {
+  return Status::InvalidArgument("malformed value for \"" + key + "\"");
+}
+
+// The required, non-empty "elements" of a query or ingest body.
+Status CheckElements(bool saw_elements, const Record& elements,
+                     std::string_view body_name) {
+  if (!saw_elements) {
+    return Status::InvalidArgument(std::string(body_name) +
+                                   " is missing \"elements\"");
+  }
+  if (elements.empty()) {
+    return Status::InvalidArgument("\"elements\" must be non-empty");
+  }
+  return Status::OK();
+}
+
+// One {"id": n, "score": x} hit of a query result; other numeric fields
+// are ignored, and an empty hit is malformed.
+Status ParseHit(JsonScanner& scanner, QueryHit* hit) {
+  size_t fields = 0;
+  const Walk walk = scanner.Object([&](const std::string& field) {
+    double value = 0.0;
+    if (!scanner.ParseNumber(&value)) return false;
+    if (field == "id") {
+      hit->id = static_cast<RecordId>(value);
+    } else if (field == "score") {
+      hit->score = static_cast<float>(value);
+    }
+    ++fields;
+    return true;
+  });
+  if (walk == Walk::kBadValue) return Status::Corruption("bad hit value");
+  if (walk != Walk::kOk || fields == 0) return Status::Corruption("bad hit");
+  return Status::OK();
 }
 
 void AppendEscaped(std::string_view s, std::string* out) {
@@ -198,186 +292,87 @@ void AppendScore(float score, std::string* out) {
 }  // namespace
 
 Result<QueryBody> ParseQueryBody(std::string_view json) {
-  JsonScanner scanner(json);
   QueryBody body;
   bool saw_elements = false;
-  if (!scanner.Consume('{')) {
-    return Status::InvalidArgument("query body must be a JSON object");
-  }
-  if (!scanner.Consume('}')) {
-    for (;;) {
-      std::string key;
-      if (!scanner.ParseString(&key) || !scanner.Consume(':')) {
-        return Status::InvalidArgument("malformed query body");
-      }
-      bool ok = true;
-      if (key == "elements") {
-        std::vector<uint32_t> elements;
-        ok = ParseUintArray(scanner, &elements);
-        if (ok) {
-          body.elements = MakeRecord(std::move(elements));
+  GBKMV_RETURN_IF_ERROR(ParseObject(
+      json, "query body", StatusCode::kInvalidArgument,
+      [&](JsonScanner& scanner, const std::string& key) {
+        bool ok = true;
+        if (key == "elements") {
+          ok = ParseElements(scanner, &body.elements);
           saw_elements = true;
+        } else if (key == "threshold") {
+          ok = scanner.ParseNumber(&body.threshold);
+          if (ok && (body.threshold < 0.0 || body.threshold > 1.0)) {
+            return Status::InvalidArgument("threshold must be in [0, 1]");
+          }
+          body.has_threshold = true;
+        } else if (key == "top_k") {
+          ok = ParseSizeT(scanner, &body.top_k);
+        } else if (key == "scores") {
+          ok = scanner.ParseBool(&body.want_scores);
+        } else if (key == "stats") {
+          ok = scanner.ParseBool(&body.want_stats);
+        } else {
+          ok = scanner.SkipValue();
         }
-      } else if (key == "threshold") {
-        ok = scanner.ParseNumber(&body.threshold);
-        if (ok && (body.threshold < 0.0 || body.threshold > 1.0)) {
-          return Status::InvalidArgument("threshold must be in [0, 1]");
-        }
-        body.has_threshold = ok;
-      } else if (key == "top_k") {
-        ok = ParseSizeT(scanner, &body.top_k);
-      } else if (key == "scores") {
-        ok = scanner.ParseBool(&body.want_scores);
-      } else if (key == "stats") {
-        ok = scanner.ParseBool(&body.want_stats);
-      } else {
-        ok = scanner.SkipValue();
-      }
-      if (!ok) {
-        return Status::InvalidArgument("malformed value for \"" + key +
-                                       "\"");
-      }
-      if (scanner.Consume('}')) break;
-      if (!scanner.Consume(',')) {
-        return Status::InvalidArgument("malformed query body");
-      }
-    }
-  }
-  if (!scanner.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after query body");
-  }
-  if (!saw_elements) {
-    return Status::InvalidArgument("query body is missing \"elements\"");
-  }
-  if (body.elements.empty()) {
-    return Status::InvalidArgument("\"elements\" must be non-empty");
-  }
+        return ok ? Status::OK() : MalformedValue(key);
+      }));
+  GBKMV_RETURN_IF_ERROR(
+      CheckElements(saw_elements, body.elements, "query body"));
   return body;
 }
 
 Result<ReloadBody> ParseReloadBody(std::string_view json) {
-  JsonScanner scanner(json);
   ReloadBody body;
-  bool saw_dir = false;
-  if (!scanner.Consume('{')) {
-    return Status::InvalidArgument("reload body must be a JSON object");
-  }
-  if (!scanner.Consume('}')) {
-    for (;;) {
-      std::string key;
-      if (!scanner.ParseString(&key) || !scanner.Consume(':')) {
-        return Status::InvalidArgument("malformed reload body");
-      }
-      bool ok = true;
-      if (key == "dir") {
-        ok = scanner.ParseString(&body.dir);
-        saw_dir = ok;
-      } else {
-        ok = scanner.SkipValue();
-      }
-      if (!ok) {
-        return Status::InvalidArgument("malformed value for \"" + key +
-                                       "\"");
-      }
-      if (scanner.Consume('}')) break;
-      if (!scanner.Consume(',')) {
-        return Status::InvalidArgument("malformed reload body");
-      }
-    }
-  }
-  if (!scanner.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after reload body");
-  }
-  if (!saw_dir || body.dir.empty()) {
+  GBKMV_RETURN_IF_ERROR(ParseObject(
+      json, "reload body", StatusCode::kInvalidArgument,
+      [&](JsonScanner& scanner, const std::string& key) {
+        const bool ok = key == "dir" ? scanner.ParseString(&body.dir)
+                                     : scanner.SkipValue();
+        return ok ? Status::OK() : MalformedValue(key);
+      }));
+  if (body.dir.empty()) {
     return Status::InvalidArgument("reload body is missing \"dir\"");
   }
   return body;
 }
 
 Result<IngestBody> ParseIngestBody(std::string_view json) {
-  JsonScanner scanner(json);
   IngestBody body;
   bool saw_elements = false;
-  if (!scanner.Consume('{')) {
-    return Status::InvalidArgument("ingest body must be a JSON object");
-  }
-  if (!scanner.Consume('}')) {
-    for (;;) {
-      std::string key;
-      if (!scanner.ParseString(&key) || !scanner.Consume(':')) {
-        return Status::InvalidArgument("malformed ingest body");
-      }
-      bool ok = true;
-      if (key == "elements") {
-        std::vector<uint32_t> elements;
-        ok = ParseUintArray(scanner, &elements);
-        if (ok) {
-          body.elements = MakeRecord(std::move(elements));
-          saw_elements = true;
-        }
-      } else {
-        ok = scanner.SkipValue();
-      }
-      if (!ok) {
-        return Status::InvalidArgument("malformed value for \"" + key +
-                                       "\"");
-      }
-      if (scanner.Consume('}')) break;
-      if (!scanner.Consume(',')) {
-        return Status::InvalidArgument("malformed ingest body");
-      }
-    }
-  }
-  if (!scanner.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after ingest body");
-  }
-  if (!saw_elements) {
-    return Status::InvalidArgument("ingest body is missing \"elements\"");
-  }
-  if (body.elements.empty()) {
-    return Status::InvalidArgument("\"elements\" must be non-empty");
-  }
+  GBKMV_RETURN_IF_ERROR(ParseObject(
+      json, "ingest body", StatusCode::kInvalidArgument,
+      [&](JsonScanner& scanner, const std::string& key) {
+        saw_elements |= key == "elements";
+        const bool ok = key == "elements"
+                            ? ParseElements(scanner, &body.elements)
+                            : scanner.SkipValue();
+        return ok ? Status::OK() : MalformedValue(key);
+      }));
+  GBKMV_RETURN_IF_ERROR(
+      CheckElements(saw_elements, body.elements, "ingest body"));
   return body;
 }
 
 Result<DeleteBody> ParseDeleteBody(std::string_view json) {
-  JsonScanner scanner(json);
   DeleteBody body;
   bool saw_id = false;
-  if (!scanner.Consume('{')) {
-    return Status::InvalidArgument("delete body must be a JSON object");
-  }
-  if (!scanner.Consume('}')) {
-    for (;;) {
-      std::string key;
-      if (!scanner.ParseString(&key) || !scanner.Consume(':')) {
-        return Status::InvalidArgument("malformed delete body");
-      }
-      bool ok = true;
-      if (key == "id") {
-        size_t id = 0;
-        ok = ParseSizeT(scanner, &id) &&
-             id <= std::numeric_limits<RecordId>::max();
-        if (ok) {
+  GBKMV_RETURN_IF_ERROR(ParseObject(
+      json, "delete body", StatusCode::kInvalidArgument,
+      [&](JsonScanner& scanner, const std::string& key) {
+        bool ok = true;
+        if (key == "id") {
+          size_t id = 0;
+          ok = ParseSizeT(scanner, &id) &&
+               id <= std::numeric_limits<RecordId>::max();
           body.id = static_cast<RecordId>(id);
           saw_id = true;
+        } else {
+          ok = scanner.SkipValue();
         }
-      } else {
-        ok = scanner.SkipValue();
-      }
-      if (!ok) {
-        return Status::InvalidArgument("malformed value for \"" + key +
-                                       "\"");
-      }
-      if (scanner.Consume('}')) break;
-      if (!scanner.Consume(',')) {
-        return Status::InvalidArgument("malformed delete body");
-      }
-    }
-  }
-  if (!scanner.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after delete body");
-  }
+        return ok ? Status::OK() : MalformedValue(key);
+      }));
   if (!saw_id) {
     return Status::InvalidArgument("delete body is missing \"id\"");
   }
@@ -387,37 +382,14 @@ Result<DeleteBody> ParseDeleteBody(std::string_view json) {
 Result<CompactBody> ParseCompactBody(std::string_view json) {
   CompactBody body;
   // Empty body -> defaults (merge all promoted shards).
-  JsonScanner probe(json);
-  if (probe.AtEnd()) return body;
-  JsonScanner scanner(json);
-  if (!scanner.Consume('{')) {
-    return Status::InvalidArgument("compact body must be a JSON object");
-  }
-  if (!scanner.Consume('}')) {
-    for (;;) {
-      std::string key;
-      if (!scanner.ParseString(&key) || !scanner.Consume(':')) {
-        return Status::InvalidArgument("malformed compact body");
-      }
-      bool ok = true;
-      if (key == "all") {
-        ok = scanner.ParseBool(&body.all);
-      } else {
-        ok = scanner.SkipValue();
-      }
-      if (!ok) {
-        return Status::InvalidArgument("malformed value for \"" + key +
-                                       "\"");
-      }
-      if (scanner.Consume('}')) break;
-      if (!scanner.Consume(',')) {
-        return Status::InvalidArgument("malformed compact body");
-      }
-    }
-  }
-  if (!scanner.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after compact body");
-  }
+  if (JsonScanner(json).AtEnd()) return body;
+  GBKMV_RETURN_IF_ERROR(ParseObject(
+      json, "compact body", StatusCode::kInvalidArgument,
+      [&](JsonScanner& scanner, const std::string& key) {
+        const bool ok = key == "all" ? scanner.ParseBool(&body.all)
+                                     : scanner.SkipValue();
+        return ok ? Status::OK() : MalformedValue(key);
+      }));
   return body;
 }
 
@@ -514,65 +486,38 @@ std::string SerializeError(std::string_view message) {
 }
 
 Result<WireQueryResult> ParseQueryResult(std::string_view json) {
-  JsonScanner scanner(json);
   WireQueryResult result;
-  if (!scanner.Consume('{')) {
-    return Status::Corruption("query result must be a JSON object");
-  }
-  if (!scanner.Consume('}')) {
-    for (;;) {
-      std::string key;
-      if (!scanner.ParseString(&key) || !scanner.Consume(':')) {
-        return Status::Corruption("malformed query result");
-      }
-      bool ok = true;
-      if (key == "epoch") {
-        size_t epoch = 0;
-        ok = ParseSizeT(scanner, &epoch);
-        result.epoch = epoch;
-      } else if (key == "hits") {
-        ok = scanner.Consume('[');
-        if (ok && !scanner.Consume(']')) {
-          for (;;) {
-            QueryHit hit;
-            if (!scanner.Consume('{')) return Status::Corruption("bad hit");
-            for (;;) {
-              std::string field;
-              if (!scanner.ParseString(&field) || !scanner.Consume(':')) {
-                return Status::Corruption("bad hit");
-              }
-              double value = 0.0;
-              if (!scanner.ParseNumber(&value)) {
-                return Status::Corruption("bad hit value");
-              }
-              if (field == "id") {
-                hit.id = static_cast<RecordId>(value);
-              } else if (field == "score") {
-                hit.score = static_cast<float>(value);
-              }
-              if (scanner.Consume('}')) break;
-              if (!scanner.Consume(',')) {
-                return Status::Corruption("bad hit");
-              }
-            }
-            result.hits.push_back(hit);
-            if (scanner.Consume(']')) break;
-            if (!scanner.Consume(',')) return Status::Corruption("bad hits");
-          }
+  const auto malformed = [] {
+    return Status::Corruption("malformed query result");
+  };
+  GBKMV_RETURN_IF_ERROR(ParseObject(
+      json, "query result", StatusCode::kCorruption,
+      [&](JsonScanner& scanner, const std::string& key) -> Status {
+        if (key == "epoch") {
+          size_t epoch = 0;
+          if (!ParseSizeT(scanner, &epoch)) return malformed();
+          result.epoch = epoch;
+          return Status::OK();
         }
-      } else {
-        ok = scanner.SkipValue();
-      }
-      if (!ok) return Status::Corruption("malformed query result");
-      if (scanner.Consume('}')) break;
-      if (!scanner.Consume(',')) {
-        return Status::Corruption("malformed query result");
-      }
-    }
-  }
-  if (!scanner.AtEnd()) {
-    return Status::Corruption("trailing bytes after query result");
-  }
+        if (key != "hits") {
+          return scanner.SkipValue() ? Status::OK() : malformed();
+        }
+        Status hit_status;
+        switch (scanner.Array([&] {
+          hit_status = ParseHit(scanner, &result.hits.emplace_back());
+          return hit_status.ok();
+        })) {
+          case Walk::kOk:
+            return Status::OK();
+          case Walk::kWrongType:
+            return malformed();
+          case Walk::kMalformed:
+            return Status::Corruption("bad hits");
+          case Walk::kBadValue:
+            break;
+        }
+        return hit_status;
+      }));
   return result;
 }
 

@@ -225,6 +225,147 @@ TEST(WireTest, MutationBodiesParseAndValidate) {
   EXPECT_FALSE(ParseCompactBody("nope").ok());
 }
 
+// Every request-body parser and ParseQueryResult against the same error
+// cases, pinning the exact status code and message each one answers.
+template <auto Parse>
+Status StatusOf(std::string_view json) {
+  return Parse(json).status();
+}
+
+// `levels` nested arrays: the innermost sits at depth levels - 1.
+std::string NestedArrays(int levels) {
+  return std::string(levels, '[') + std::string(levels, ']');
+}
+
+TEST(WireTest, ObjectErrorsTable) {
+  constexpr StatusCode kOk = StatusCode::kOk;
+  constexpr StatusCode kBad = StatusCode::kInvalidArgument;
+  constexpr StatusCode kCorrupt = StatusCode::kCorruption;
+  const auto query = StatusOf<ParseQueryBody>;
+  const auto reload = StatusOf<ParseReloadBody>;
+  const auto ingest = StatusOf<ParseIngestBody>;
+  const auto del = StatusOf<ParseDeleteBody>;
+  const auto compact = StatusOf<ParseCompactBody>;
+  const auto result = StatusOf<ParseQueryResult>;
+  const std::string ok_depth = "{\"deep\":" + NestedArrays(17);
+  const std::string too_deep = "{\"deep\":" + NestedArrays(18);
+  const struct Case {
+    const char* what;
+    Status (*parse)(std::string_view);
+    std::string json;
+    StatusCode code;
+    std::string message;
+  } cases[] = {
+      // Not an object.
+      {"query", query, "[1]", kBad, "query body must be a JSON object"},
+      {"reload", reload, "[1]", kBad, "reload body must be a JSON object"},
+      {"ingest", ingest, "[1]", kBad, "ingest body must be a JSON object"},
+      {"delete", del, "\"x\"", kBad, "delete body must be a JSON object"},
+      {"compact", compact, "[1]", kBad, "compact body must be a JSON object"},
+      {"result", result, "[1]", kCorrupt, "query result must be a JSON object"},
+      // Malformed key.
+      {"query", query, "{elements:[1]}", kBad, "malformed query body"},
+      {"reload", reload, "{\"dir\" \"x\"}", kBad, "malformed reload body"},
+      {"ingest", ingest, "{", kBad, "malformed ingest body"},
+      {"delete", del, "{7:1}", kBad, "malformed delete body"},
+      {"compact", compact, "{all:true}", kBad, "malformed compact body"},
+      {"result", result, "{epoch:1}", kCorrupt, "malformed query result"},
+      // Bad value.
+      {"query", query, "{\"elements\": oops}", kBad,
+       "malformed value for \"elements\""},
+      {"query", query, "{\"elements\":[1],\"top_k\":-2}", kBad,
+       "malformed value for \"top_k\""},
+      {"query", query, "{\"elements\":[1],\"threshold\":1.5}", kBad,
+       "threshold must be in [0, 1]"},
+      {"query", query, "{\"elements\":[]}", kBad,
+       "\"elements\" must be non-empty"},
+      {"reload", reload, "{\"dir\":5}", kBad, "malformed value for \"dir\""},
+      {"ingest", ingest, "{\"elements\":[-1]}", kBad,
+       "malformed value for \"elements\""},
+      {"ingest", ingest, "{\"elements\":[]}", kBad,
+       "\"elements\" must be non-empty"},
+      {"delete", del, "{\"id\":\"x\"}", kBad, "malformed value for \"id\""},
+      {"delete", del, "{\"id\":-1}", kBad, "malformed value for \"id\""},
+      {"compact", compact, "{\"all\":1}", kBad, "malformed value for \"all\""},
+      {"result", result, "{\"epoch\":\"x\"}", kCorrupt,
+       "malformed query result"},
+      {"result", result, "{\"hits\":5}", kCorrupt, "malformed query result"},
+      {"result", result, "{\"hits\":[5]}", kCorrupt, "bad hit"},
+      {"result", result, "{\"hits\":[{id:1}]}", kCorrupt, "bad hit"},
+      {"result", result, "{\"hits\":[{}]}", kCorrupt, "bad hit"},
+      {"result", result, "{\"hits\":[{\"id\":\"x\"}]}", kCorrupt,
+       "bad hit value"},
+      {"result", result, "{\"hits\":[{\"id\":1 \"score\":0.5}]}", kCorrupt,
+       "bad hit"},
+      {"result", result, "{\"hits\":[{\"id\":1} {\"id\":2}]}", kCorrupt,
+       "bad hits"},
+      // Missing comma.
+      {"query", query, "{\"elements\":[1] \"top_k\":3}", kBad,
+       "malformed query body"},
+      {"reload", reload, "{\"dir\":\"x\" \"y\":1}", kBad,
+       "malformed reload body"},
+      {"ingest", ingest, "{\"elements\":[1] \"y\":1}", kBad,
+       "malformed ingest body"},
+      {"delete", del, "{\"id\":1 \"y\":1}", kBad, "malformed delete body"},
+      {"compact", compact, "{\"all\":true \"y\":1}", kBad,
+       "malformed compact body"},
+      {"result", result, "{\"epoch\":1 \"hits\":[]}", kCorrupt,
+       "malformed query result"},
+      // Trailing bytes.
+      {"query", query, "{\"elements\":[1]} x", kBad,
+       "trailing bytes after query body"},
+      {"reload", reload, "{\"dir\":\"x\"}}", kBad,
+       "trailing bytes after reload body"},
+      {"ingest", ingest, "{\"elements\":[1]}{}", kBad,
+       "trailing bytes after ingest body"},
+      {"delete", del, "{\"id\":1} 2", kBad, "trailing bytes after delete body"},
+      {"compact", compact, "{} x", kBad, "trailing bytes after compact body"},
+      {"result", result, "{\"epoch\":1,\"hits\":[]} x", kCorrupt,
+       "trailing bytes after query result"},
+      // Unknown keys are skipped, whatever their value.
+      {"query", query,
+       "{\"zz\":{\"a\":[1,{\"b\":null}],\"c\":\"\\\"\"},\"elements\":[1]}",
+       kOk, ""},
+      {"reload", reload, "{\"zz\":[true,false],\"dir\":\"x\"}", kOk, ""},
+      {"ingest", ingest, "{\"elements\":[2],\"zz\":{}}", kOk, ""},
+      {"delete", del, "{\"zz\":-1.5e3,\"id\":4}", kOk, ""},
+      {"compact", compact, "{\"zz\":[],\"all\":false}", kOk, ""},
+      {"result", result, "{\"zz\":{\"k\":[]},\"epoch\":3,\"hits\":[]}", kOk,
+       ""},
+      // Skipped values nest at most 16 deep.
+      {"query", query, ok_depth + ",\"elements\":[1]}", kOk, ""},
+      {"query", query, too_deep + ",\"elements\":[1]}", kBad,
+       "malformed value for \"deep\""},
+      {"reload", reload, too_deep + ",\"dir\":\"x\"}", kBad,
+       "malformed value for \"deep\""},
+      {"ingest", ingest, too_deep + ",\"elements\":[1]}", kBad,
+       "malformed value for \"deep\""},
+      {"delete", del, too_deep + ",\"id\":1}", kBad,
+       "malformed value for \"deep\""},
+      {"compact", compact, too_deep + "}", kBad,
+       "malformed value for \"deep\""},
+      {"result", result, ok_depth + "}", kOk, ""},
+      {"result", result, too_deep + "}", kCorrupt, "malformed query result"},
+      // Missing required key (compact and the result have none).
+      {"query", query, "{\"top_k\":3}", kBad,
+       "query body is missing \"elements\""},
+      {"reload", reload, "{}", kBad, "reload body is missing \"dir\""},
+      {"reload", reload, "{\"dir\":\"\"}", kBad,
+       "reload body is missing \"dir\""},
+      {"ingest", ingest, "{}", kBad, "ingest body is missing \"elements\""},
+      {"delete", del, "{}", kBad, "delete body is missing \"id\""},
+      {"compact", compact, "{}", kOk, ""},
+      {"compact", compact, " ", kOk, ""},
+      {"result", result, "{}", kOk, ""},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.what) + ": " + c.json);
+    const Status status = c.parse(c.json);
+    EXPECT_EQ(c.code, status.code()) << status.ToString();
+    EXPECT_EQ(c.message, status.message());
+  }
+}
+
 TEST(WireTest, MutationResultSerialization) {
   EXPECT_EQ("{\"epoch\":3,\"id\":412}", SerializeIngestResult(3, 412));
   EXPECT_EQ("{\"epoch\":3,\"id\":17,\"deleted\":true}",
@@ -537,6 +678,108 @@ TEST_F(ServerEndToEndTest, MutationEndpointsDriveShardLifecycle) {
   ASSERT_TRUE(wrong_admin.ok());
   EXPECT_EQ(405, wrong_admin->status);
 
+  (*server)->Shutdown();
+}
+
+// Every route answers a wrong method with 405 naming the right one, an
+// unknown target with 404, and every body-taking route a malformed body
+// with 400 — each counted once as an HTTP error, on one live connection.
+TEST_F(ServerEndToEndTest, RoutesAnswerWrongMethodUnknownTargetAndBadBody) {
+  const Dataset dataset = MakeTestDataset(20260809);
+  std::shared_ptr<ShardedContainmentService> service = MakeService(dataset);
+
+  ServerOptions options;
+  options.port = 0;
+  Result<std::unique_ptr<Server>> server = Server::Start(service, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  HttpBlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", (*server)->port()).ok());
+  uint64_t errors = 0;
+  auto expect = [&](std::string_view method, std::string_view target,
+                    std::string_view body, int status,
+                    std::string_view want) {
+    SCOPED_TRACE(std::string(method) + " " + std::string(target) + " " +
+                 std::string(body));
+    Result<HttpClientResponse> response =
+        client.RoundTrip(method, target, body);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(status, response->status);
+    EXPECT_EQ(want, response->body);
+    ++errors;
+  };
+
+  const struct Route {
+    const char* target;
+    const char* method;
+  } routes[] = {
+      {"/healthz", "GET"},        {"/metricsz", "GET"},
+      {"/v1/query", "POST"},      {"/v1/ingest", "POST"},
+      {"/v1/delete", "POST"},     {"/admin/promote", "POST"},
+      {"/admin/compact", "POST"}, {"/admin/reload", "POST"},
+  };
+  for (const Route& route : routes) {
+    const bool get = std::string_view(route.method) == "GET";
+    const std::string want =
+        get ? "{\"error\":\"use GET\"}" : "{\"error\":\"use POST\"}";
+    expect(get ? "POST" : "GET", route.target, "", 405, want);
+    expect("PUT", route.target, "{}", 405, want);
+  }
+
+  for (const char* target : {"/nope", "/v1/query/", "/admin", "/"}) {
+    expect("GET", target, "", 404, "{\"error\":\"unknown endpoint\"}");
+    expect("POST", target, "{}", 404, "{\"error\":\"unknown endpoint\"}");
+  }
+
+  const struct BodyRoute {
+    const char* target;
+    const char* error;
+  } body_routes[] = {
+      {"/v1/query", "malformed query body"},
+      {"/v1/ingest", "malformed ingest body"},
+      {"/v1/delete", "malformed delete body"},
+      {"/admin/compact", "malformed compact body"},
+      {"/admin/reload", "malformed reload body"},
+  };
+  for (const BodyRoute& route : body_routes) {
+    expect("POST", route.target, "{", 400,
+           "{\"error\":\"" + std::string(route.error) + "\"}");
+  }
+
+  EXPECT_TRUE(client.connected());
+  EXPECT_EQ(errors, (*server)->stats().http_errors);
+  (*server)->Shutdown();
+}
+
+// A request the HTTP parser rejects is answered once, with the parser's
+// status, and the server then closes the connection (which the answer can
+// do at once, the socket write having drained).
+TEST_F(ServerEndToEndTest, UnparsableRequestAnswersAndCloses) {
+  const Dataset dataset = MakeTestDataset(20260810);
+  std::shared_ptr<ShardedContainmentService> service = MakeService(dataset);
+
+  ServerOptions options;
+  options.port = 0;
+  Result<std::unique_ptr<Server>> server = Server::Start(service, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  HttpBlockingClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", (*server)->port()).ok());
+  ASSERT_TRUE(client.WriteRaw("NOT A REQUEST LINE AT ALL\r\n\r\n").ok());
+  Result<HttpClientResponse> response = client.ReadResponse();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(400, response->status);
+  EXPECT_NE(std::string::npos, response->body.find("\"error\""));
+  EXPECT_FALSE(client.ReadResponse().ok());  // closed by the server
+
+  // The server keeps serving other connections.
+  HttpBlockingClient next;
+  ASSERT_TRUE(next.Connect("127.0.0.1", (*server)->port()).ok());
+  Result<HttpClientResponse> health = next.RoundTrip("GET", "/healthz");
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(200, health->status);
+
+  EXPECT_EQ(1u, (*server)->stats().http_errors);
   (*server)->Shutdown();
 }
 

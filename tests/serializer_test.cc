@@ -63,6 +63,34 @@ TEST(SerializerTest, VectorRoundTrip) {
   EXPECT_EQ(v64, (std::vector<uint64_t>{0, ~0ULL}));
 }
 
+// Zero-length aligned arrays round-trip into empty containers, whose
+// data() is null: the copying readers must not pass that to memcpy.
+TEST(SerializerTest, EmptyAlignedArraysRoundTrip) {
+  const std::vector<uint32_t> no_u32;
+  const std::vector<uint64_t> no_u64;
+  const std::string no_bytes;
+  io::Writer w;
+  w.PutU32Array(no_u32.data(), no_u32.size());
+  w.PutU64Array(no_u64.data(), no_u64.size());
+  w.PutAlignedBytes(no_bytes.data(), no_bytes.size());
+  w.PutU32(0xC0FFEEu);
+
+  io::Reader r(w.data());
+  std::vector<uint32_t> u32;
+  std::vector<uint64_t> u64;
+  std::string bytes = "stale";
+  uint32_t tail = 0;
+  ASSERT_TRUE(r.GetU32Array(&u32).ok());
+  ASSERT_TRUE(r.GetU64Array(&u64).ok());
+  ASSERT_TRUE(r.GetAlignedBytes(&bytes).ok());
+  ASSERT_TRUE(r.GetU32(&tail).ok());
+  EXPECT_TRUE(u32.empty());
+  EXPECT_TRUE(u64.empty());
+  EXPECT_TRUE(bytes.empty());
+  EXPECT_EQ(0xC0FFEEu, tail);
+  EXPECT_TRUE(r.AtEnd());
+}
+
 TEST(SerializerTest, OverrunIsCorruptionNotCrash) {
   io::Writer w;
   w.PutU32(7);

@@ -852,23 +852,19 @@ TEST(ShardLifecycleTest, PurgedAndFilteredTombstonesServeIdenticalHits) {
   }
 }
 
-TEST(ShardLifecycleTest, MutationErrorTaxonomyAndApplyDispatch) {
+TEST(ShardLifecycleTest, MutationErrorTaxonomy) {
   const Dataset& ds = TestDataset();
   Result<std::unique_ptr<ShardedContainmentService>> service =
       serve::BuildShardedService(ds, ServiceConfig(SearchMethod::kFreqSet, 2));
   ASSERT_TRUE(service.ok());
 
-  // Apply(kIngest) assigns the next global id; an empty record is
-  // InvalidArgument.
-  serve::MutationRequest ingest;
-  ingest.kind = serve::MutationKind::kIngest;
-  ingest.record = MakeRecord({9100, 9101, 9102});
-  Result<serve::MutationResult> applied = (*service)->Apply(ingest);
-  ASSERT_TRUE(applied.ok());
-  EXPECT_EQ(ds.size(), applied->id);
-  ingest.record.clear();
+  // Ingest assigns the next global id; an empty record is InvalidArgument.
+  Result<RecordId> ingested =
+      (*service)->Ingest(MakeRecord({9100, 9101, 9102}));
+  ASSERT_TRUE(ingested.ok());
+  EXPECT_EQ(ds.size(), *ingested);
   EXPECT_EQ(StatusCode::kInvalidArgument,
-            (*service)->Apply(ingest).status().code());
+            (*service)->Ingest(Record{}).status().code());
 
   // Delete: NotFound for an id that never existed; noop (not an error) for
   // an id already tombstoned.
@@ -882,22 +878,18 @@ TEST(ShardLifecycleTest, MutationErrorTaxonomyAndApplyDispatch) {
   EXPECT_TRUE(second->noop);
   EXPECT_EQ(1u, (*service)->num_tombstones());
 
-  // Apply(kPromote): real work, then a noop once the ingest shard is empty.
-  serve::MutationRequest promote;
-  promote.kind = serve::MutationKind::kPromote;
-  Result<serve::MutationResult> promoted = (*service)->Apply(promote);
+  // Promote: real work, then a noop once the ingest shard is empty.
+  Result<serve::MutationResult> promoted = (*service)->Promote();
   ASSERT_TRUE(promoted.ok());
   EXPECT_FALSE(promoted->noop);
-  promoted = (*service)->Apply(promote);
+  promoted = (*service)->Promote();
   ASSERT_TRUE(promoted.ok());
   EXPECT_TRUE(promoted->noop);
 
-  // Apply(kCompact): the single promoted shard carries a tombstone, so the
+  // Compact: the single promoted shard carries a tombstone, so the
   // compact is a purge rewrite, not a noop — and the purged id is NotFound
   // afterwards (vs noop while it was merely tombstoned).
-  serve::MutationRequest compact;
-  compact.kind = serve::MutationKind::kCompact;
-  Result<serve::MutationResult> compacted = (*service)->Apply(compact);
+  Result<serve::MutationResult> compacted = (*service)->Compact();
   ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
   EXPECT_FALSE(compacted->noop);
   EXPECT_EQ(1u, compacted->tombstones_purged);
@@ -906,7 +898,7 @@ TEST(ShardLifecycleTest, MutationErrorTaxonomyAndApplyDispatch) {
             (*service)->Delete(ds.size()).status().code());
 
   // A second compact of the single clean shard is a noop.
-  compacted = (*service)->Apply(compact);
+  compacted = (*service)->Compact();
   ASSERT_TRUE(compacted.ok());
   EXPECT_TRUE(compacted->noop);
 }
@@ -1098,11 +1090,8 @@ TEST(ShardLifecycleTest, RandomizedLifecycleSoakMatchesExactOracle) {
       } else if (roll < 88) {
         ASSERT_TRUE((*service)->Promote().ok());
       } else {
-        serve::MutationRequest compact;
-        compact.kind = serve::MutationKind::kCompact;
-        compact.compact.all = (rng() % 2) == 0;
         const Result<serve::MutationResult> result =
-            (*service)->Apply(compact);
+            (*service)->Compact({.all = (rng() % 2) == 0});
         ASSERT_TRUE(result.ok()) << result.status().ToString();
         purged_total += result->tombstones_purged;
       }
