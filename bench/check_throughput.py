@@ -24,7 +24,8 @@ Checks, in order:
   4. regression (only with --baseline): unlimited batch QPS per
      (method, threshold) must not fall below baseline * (1 - --tolerance).
      Only rows present in both files are compared, so adding methods or
-     thresholds never breaks the guard.
+     thresholds never breaks the guard. A baseline whose config.smoke is
+     true is refused: smoke-sized QPS says nothing about the full workload.
 
 Usage:
   python3 bench/check_throughput.py BENCH_query_throughput.json \
@@ -65,6 +66,13 @@ def require_schema(report, path, role):
             f"{role} file {path} has schema {schema!r}, expected "
             f"{SCHEMA!r}; the file predates the current bench format — "
             f"regenerate it with bench/query_throughput")
+
+
+def require_full_size(baseline, path):
+    if baseline.get("config", {}).get("smoke", False):
+        raise CheckError(
+            f"baseline file {path} is a smoke run (config.smoke is true); "
+            f"gate against a full-size bench/query_throughput run")
 
 
 def rows_by_key(report):
@@ -164,6 +172,7 @@ def main():
     if args.baseline:
         baseline = load(args.baseline, role="baseline")
         require_schema(baseline, args.baseline, "baseline")
+        require_full_size(baseline, args.baseline)
         check_regression(report, baseline, args.tolerance)
 
 

@@ -1,8 +1,8 @@
 #include "index/gbkmv_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <numeric>
 
 #include "common/hash.h"
 #include "common/thread_pool.h"
@@ -226,31 +226,28 @@ void GbKmvIndexSearcher::BuildQueryStructures(bool rebuild_postings) {
       }
     });
   }
-  by_size_.resize(m);
-  std::iota(by_size_.begin(), by_size_.end(), 0);
-  std::sort(by_size_.begin(), by_size_.end(), [this](RecordId a, RecordId b) {
-    return record_sizes_[a] != record_sizes_[b]
-               ? record_sizes_[a] < record_sizes_[b]
-               : a < b;
-  });
-  sorted_sizes_.clear();
-  sorted_sizes_.reserve(m);
-  for (RecordId id : by_size_) sorted_sizes_.push_back(record_sizes_[id]);
-  // The buffer-only pass never needs records whose buffer bitmap is empty;
-  // filtering them once at build time saves a per-record word scan on every
-  // query.
-  buffered_by_size_.clear();
-  buffered_sorted_sizes_.clear();
-  for (size_t pos = 0; pos < m; ++pos) {
-    const RecordId id = by_size_[pos];
-    const std::span<const uint64_t> words = BufferWordsOf(id);
-    const bool empty =
-        std::all_of(words.begin(), words.end(),
-                    [](uint64_t w) { return w == 0; });
-    if (!empty) {
-      buffered_by_size_.push_back(id);
-      buffered_sorted_sizes_.push_back(sorted_sizes_[pos]);
-    }
+  // Buffer popcount order: a stable counting sort over the popcount
+  // buckets, O(m + r). A bitmap of words_per_record_ words holds at most
+  // that many * 64 bits, which bounds the buckets even for a mapped store.
+  // Records with an empty buffer (bucket 0) are left out.
+  auto popcount_of = [this](RecordId id) {
+    uint32_t n = 0;
+    for (uint64_t w : BufferWordsOf(id)) n += std::popcount(w);
+    return n;
+  };
+  // next[c] is the first slot of popcount c (after the prefix sum below).
+  std::vector<size_t> next(words_per_record_ * 64 + 2, 0);
+  for (RecordId id = 0; id < m; ++id) ++next[popcount_of(id) + 1];
+  for (size_t c = 1; c < next.size(); ++c) next[c] += next[c - 1];
+  const size_t unbuffered = next[1];
+  buffered_by_popcount_.resize(m - unbuffered);
+  buffered_popcounts_.resize(m - unbuffered);
+  for (RecordId id = 0; id < m; ++id) {
+    const uint32_t c = popcount_of(id);
+    if (c == 0) continue;
+    const size_t slot = next[c]++ - unbuffered;
+    buffered_by_popcount_[slot] = id;
+    buffered_popcounts_[slot] = c;
   }
 }
 
@@ -317,6 +314,20 @@ QueryResponse GbKmvIndexSearcher::SearchQ(const QueryRequest& request,
     return std::min(static_cast<double>(o1) + d_hat, cap);
   };
 
+  if (min_size == 0) {
+    // θ ≈ 0: estimates are never negative, so every record qualifies, as in
+    // every exact method. Each is scored by its estimate — 0 for a record
+    // sharing neither a sketch hash nor a buffer bit with the query.
+    for (size_t i = 0; i < num_records(); ++i) {
+      const RecordId id = static_cast<RecordId>(i);
+      collector.Add(id, score(id, ctx.CountOf(id)) * inv_q);
+    }
+    response.stats.candidates_generated += num_records();
+    collector.Finish();
+    refine_timer.Stop();
+    return response;
+  }
+
   // Records with sketch-hash overlap. Stats are batch-counted (touched
   // minus pruned) — a per-candidate increment in this loop is measurable.
   size_t size_pruned = 0;
@@ -331,35 +342,33 @@ QueryResponse GbKmvIndexSearcher::SearchQ(const QueryRequest& request,
   }
   response.stats.candidates_generated += ctx.touched().size() - size_pruned;
 
-  // Records that can qualify on the buffer alone (K∩ = 0): scan the
-  // size-eligible suffix of the non-empty-buffer order with the bitmap fast
-  // path. Touched records are skipped — they were fully scored above, and
-  // their score is >= o1, so any buffer-only qualifier among them is
-  // already collected.
-  if (!query_buffer_empty) {
-    const auto begin_it =
-        std::lower_bound(buffered_sorted_sizes_.begin(),
-                         buffered_sorted_sizes_.end(), min_size);
+  // Records that can qualify on the buffer alone (K∩ = 0) score exactly
+  // o1 = |H_Q ∩ H_X| and need o1 >= min_size; o1 <= min(|H_Q|, |H_X|), so
+  // the pass runs only when |H_Q| reaches min_size, and then over the suffix
+  // of the popcount order whose |H_X| does. Touched records are skipped —
+  // they were fully scored above, and their score is >= o1, so any
+  // buffer-only qualifier among them is already collected.
+  if (query_sketch.buffer.Count() >= min_size) {
+    const auto begin_it = std::lower_bound(
+        buffered_popcounts_.begin(), buffered_popcounts_.end(), min_size);
     const size_t begin_pos =
-        static_cast<size_t>(begin_it - buffered_sorted_sizes_.begin());
+        static_cast<size_t>(begin_it - buffered_popcounts_.begin());
     size_t skipped = 0;  // already scored through the hash postings
-    for (size_t pos = begin_pos; pos < buffered_by_size_.size(); ++pos) {
-      const RecordId id = buffered_by_size_[pos];
+    for (size_t pos = begin_pos; pos < buffered_by_popcount_.size(); ++pos) {
+      const RecordId id = buffered_by_popcount_[pos];
       if (ctx.CountOf(id) > 0) {
         ++skipped;
         continue;
       }
       const size_t o1 =
           Bitmap::IntersectCountWords(q_words, BufferWordsOf(id));
-      if (static_cast<double>(o1) >= theta - 1e-9) {
-        // K∩ = 0, so the full estimator reduces to the buffer overlap.
-        collector.Add(id, static_cast<double>(o1) * inv_q);
-      }
+      if (o1 >= min_size) collector.Add(id, static_cast<double>(o1) * inv_q);
     }
     // The buffer pass reads stored bitmaps, not postings; count one index
     // entry per examined record so the work is visible in the stats
     // (batch-counted: the per-record increments cost in this loop).
-    const size_t examined = buffered_by_size_.size() - begin_pos - skipped;
+    const size_t examined =
+        buffered_by_popcount_.size() - begin_pos - skipped;
     response.stats.candidates_generated += examined;
     response.stats.postings_scanned += examined;
   }

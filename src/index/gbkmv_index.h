@@ -2,8 +2,9 @@
 // implementation notes).
 //
 // Build: one GbKmvSketch per record (buffer bitmap + G-KMV hash set), an
-// inverted index over the G-KMV hash values, and a size-sorted record order
-// for the partition lower-bound pruning.
+// inverted index over the G-KMV hash values, and a buffer popcount order
+// (the records with a non-empty buffer, by ascending |H_X|) for the
+// buffer-only pass.
 //
 // Query (threshold t*, θ = t*·|Q|):
 //   * records with |X| < θ are pruned outright (a record smaller than the
@@ -11,11 +12,16 @@
 //     lower bound, applied at its finest granularity);
 //   * K∩ per record comes from a ScanCount over the query's sketch hashes
 //     (the paper's PPjoin*-style "K∩ ≥ o" candidate generation);
-//   * |H_Q ∩ H_X| comes from a bitmap AND over the eligible records;
+//   * |H_Q ∩ H_X| comes from a bitmap AND over the scored records;
+//   * a record with K∩ = 0 scores exactly o1 = |H_Q ∩ H_X|, and
+//     o1 <= min(|H_Q|, |H_X|): the buffer-only pass runs only when
+//     |H_Q| >= ⌈θ⌉, and then only over the suffix of the popcount order
+//     with |H_X| >= ⌈θ⌉ (|H_X| <= |X|, so this bound implies the size one);
 //   * the G-KMV estimator needs only (K∩, |L_Q|, |L_X|, max hash), all O(1)
 //     per candidate: k = |L_Q|+|L_X|−K∩ and U(k) = max(max L_Q, max L_X),
 //     so every candidate is scored exactly as Eq. 27 with no re-merge.
-// Records whose estimate reaches θ are returned.
+// Records whose estimate reaches θ are returned; at θ = 0 that is every
+// record, scored by its estimate.
 
 #ifndef GBKMV_INDEX_GBKMV_INDEX_H_
 #define GBKMV_INDEX_GBKMV_INDEX_H_
@@ -98,9 +104,9 @@ class GbKmvIndexSearcher : public ContainmentSearcher {
 
   // Index-level shard merge (docs/sharding.md "Shard lifecycle"):
   // concatenates the sources' flat sketch stores in order, skipping
-  // tombstoned rows, and rebuilds only the derived query structures (size
-  // order + hash postings, a deterministic two-pass count/scatter over the
-  // concatenated rows) — no record is ever re-sketched. `dataset` must
+  // tombstoned rows, and rebuilds only the derived query structures (buffer
+  // popcount order + hash postings, deterministic count/scatter passes over
+  // the concatenated rows) — no record is ever re-sketched. `dataset` must
   // hold exactly the surviving records in merge order (source order,
   // ascending local id within a source) and must outlive the searcher.
   // Because a record's flat row is a pure function of (record, sketcher),
@@ -183,10 +189,10 @@ class GbKmvIndexSearcher : public ContainmentSearcher {
   // sketcher's global threshold).
   Status AdoptSketches(const std::vector<GbKmvSketch>& sketches);
 
-  // Builds the derived query structures (size order and, unless
+  // Builds the derived query structures (buffer popcount order and, unless
   // `rebuild_postings` is false because a snapshot already supplied them,
-  // the flat hash postings) from the flat sketch store + record_sizes_;
-  // shared by Create and the loaders. Deterministic for any thread count.
+  // the flat hash postings) from the flat sketch store; shared by Create
+  // and the loaders. Deterministic for any thread count.
   void BuildQueryStructures(bool rebuild_postings = true);
 
   const Dataset* dataset_;  // null for mapped (dataset-free) loads
@@ -210,13 +216,11 @@ class GbKmvIndexSearcher : public ContainmentSearcher {
   std::span<const uint64_t> hash_offsets_;   // m + 1 row starts
   std::span<const uint64_t> hashes_;         // concatenated G-KMV values
 
-  // Record ids sorted by ascending size + parallel sizes for binary search.
-  std::vector<RecordId> by_size_;
-  std::vector<uint32_t> sorted_sizes_;
-  // Same order restricted to records with a non-empty buffer bitmap (the
-  // only ones the buffer-only pass can return).
-  std::vector<RecordId> buffered_by_size_;
-  std::vector<uint32_t> buffered_sorted_sizes_;
+  // Records with a non-empty buffer bitmap (the only ones the buffer-only
+  // pass can return) by ascending buffer popcount, ascending id within one
+  // popcount, + the parallel popcounts for binary search.
+  std::vector<RecordId> buffered_by_popcount_;
+  std::vector<uint32_t> buffered_popcounts_;
   // G-KMV hash value -> records containing it (flat CSR + open addressing).
   FlatHashPostings hash_postings_;
 };

@@ -5,9 +5,10 @@
 //   * the expensive state (per-record sketches / signatures, thresholds,
 //     buffer universes) is stored verbatim, so a reloaded index answers
 //     Search() byte-identically to the original;
-//   * derived query accelerators (inverted hash postings, size orders,
-//     banding bucket tables) are rebuilt deterministically on load — they
-//     are pure functions of the stored state and compress poorly;
+//   * derived query accelerators (inverted hash postings, the buffer
+//     popcount order, banding bucket tables) are rebuilt deterministically
+//     on load — they are pure functions of the stored state and compress
+//     poorly;
 //   * dataset-bound searchers store the dataset fingerprint and verify it
 //     against the dataset they are re-attached to (InvalidArgument on
 //     mismatch); all structural damage surfaces as Corruption before any

@@ -4,11 +4,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <iterator>
+#include <string>
 
 #include "data/synthetic.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
 #include "index/brute_force.h"
+#include "io/mmap_snapshot.h"
+#include "storage/query_context.h"
 
 namespace gbkmv {
 namespace {
@@ -84,36 +89,205 @@ TEST(GbKmvIndexTest, EmptyQuery) {
   EXPECT_TRUE((*s)->Search({}, 0.5).empty());
 }
 
+// Every size-eligible record whose Eq. 27 estimate (EstimateContainment,
+// the full pair estimator) clears θ = t*·|Q|, by a plain scan.
+std::vector<RecordId> EstimatorScan(const GbKmvIndexSearcher& s,
+                                    const Dataset& ds, const Record& q,
+                                    double threshold) {
+  const double theta = threshold * static_cast<double>(q.size());
+  const size_t min_size = static_cast<size_t>(std::ceil(theta - 1e-9));
+  std::vector<RecordId> expected;
+  for (size_t i = 0; i < ds.size(); ++i) {
+    if (ds.record(i).size() < min_size) continue;
+    const double est = s.EstimateContainment(q, static_cast<RecordId>(i)) *
+                       static_cast<double>(q.size());
+    if (est >= theta - 1e-9) expected.push_back(static_cast<RecordId>(i));
+  }
+  return expected;
+}
+
+// The searcher's hit ids for `q` (ascending), each hit's score checked
+// against its Eq. 27 estimate.
+std::vector<RecordId> CheckedSearch(const GbKmvIndexSearcher& s,
+                                    const Record& q, double threshold) {
+  QueryRequest request(q, threshold);
+  request.want_scores = true;
+  const QueryResponse response =
+      s.SearchQ(request, ThreadLocalQueryContext());
+  std::vector<RecordId> ids;
+  for (const QueryHit& hit : response.hits) {
+    EXPECT_FLOAT_EQ(static_cast<float>(s.EstimateContainment(q, hit.id)),
+                    hit.score)
+        << "record " << hit.id;
+    ids.push_back(hit.id);
+  }
+  return ids;
+}
+
+// A searcher built over `ds` and the same searcher saved and served
+// straight out of a mapped v3 snapshot (which rebuilds the buffer popcount
+// order on load); `mapping` keeps the mapped one's bytes alive.
+struct BuiltAndMapped {
+  std::unique_ptr<GbKmvIndexSearcher> built;
+  std::unique_ptr<io::MmapSnapshot> mapping;
+  std::unique_ptr<GbKmvIndexSearcher> mapped;
+};
+
+BuiltAndMapped BuildAndMap(const Dataset& ds, const GbKmvIndexOptions& opts) {
+  BuiltAndMapped out;
+  out.built = std::move(GbKmvIndexSearcher::Create(ds, opts).value());
+  const std::string path = ::testing::TempDir() + "gbkmv_index_test_" +
+                           std::to_string(opts.buffer_bits) + ".snap";
+  EXPECT_TRUE(out.built->Save(path).ok());
+  out.mapping = std::make_unique<io::MmapSnapshot>(
+      std::move(io::MmapSnapshot::Open(path).value()));
+  out.mapped = std::move(
+      GbKmvIndexSearcher::LoadMapped(out.mapping->reader()).value());
+  std::remove(path.c_str());
+  return out;
+}
+
 TEST(GbKmvIndexTest, SearchMatchesPairwiseEstimator) {
-  // The index's candidate machinery must return exactly the records whose
-  // Eq. 27 estimate clears θ (among size-eligible ones) — i.e. the fast
-  // path is a pure optimisation, not an approximation.
+  // The index's candidate machinery — the size bound, the hash-posting
+  // ScanCount and the buffer popcount bounds — must return exactly the
+  // records whose Eq. 27 estimate clears θ, scored by that estimate, i.e.
+  // the fast path is a pure optimisation, not an approximation. Over
+  // thresholds (t* = 0 returns every record, as in every exact method),
+  // buffer widths (none, one word, several words, and a width that is not a
+  // multiple of 64), and both the built and the mapped searcher. The last
+  // query shares neither a sketch hash nor a buffer bit with any record.
+  auto ds = TestDataset();
+  ASSERT_TRUE(ds.ok());
+  std::vector<Record> queries;
+  for (size_t qi = 0; qi < 10; ++qi) {
+    queries.push_back(ds->record(qi * 13 % ds->size()));
+  }
+  queries.push_back(MakeRecord({100000, 100001, 100002}));
+  for (const size_t bits : {0, 64, 100, 128, 192}) {
+    GbKmvIndexOptions opts;
+    opts.space_ratio = 0.15;
+    opts.buffer_bits = bits;
+    const BuiltAndMapped s = BuildAndMap(*ds, opts);
+    ASSERT_EQ(bits, s.mapped->chosen_buffer_bits());
+    for (const double threshold : {0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0}) {
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        const Record& q = queries[qi];
+        const std::vector<RecordId> expected =
+            EstimatorScan(*s.built, *ds, q, threshold);
+        if (threshold == 0.0) {
+          ASSERT_EQ(ds->size(), expected.size());
+        }
+        EXPECT_EQ(CheckedSearch(*s.built, q, threshold), expected)
+            << "bits " << bits << " t* " << threshold << " query " << qi;
+        EXPECT_EQ(CheckedSearch(*s.mapped, q, threshold), expected)
+            << "mapped, bits " << bits << " t* " << threshold << " query "
+            << qi;
+      }
+    }
+  }
+}
+
+TEST(GbKmvIndexTest, BufferOnlyPassKeepsRecordsAtThePopcountBound) {
+  // A query made of exactly record X's buffered elements has an empty G-KMV
+  // sketch (K∩ = 0 with every record) and H_Q = H_X. With ⌈θ⌉ = |H_X|, X
+  // qualifies on o1 = |H_Q| = |H_X| = ⌈θ⌉ exactly, so an off-by-one in
+  // either popcount bound drops it.
   auto ds = TestDataset();
   ASSERT_TRUE(ds.ok());
   GbKmvIndexOptions opts;
   opts.space_ratio = 0.15;
-  opts.buffer_bits = 64;
-  auto s = GbKmvIndexSearcher::Create(*ds, opts);
-  ASSERT_TRUE(s.ok());
-  const double threshold = 0.5;
-  for (size_t qi = 0; qi < 10; ++qi) {
-    const Record& q = ds->record(qi * 13 % ds->size());
-    const double theta = threshold * static_cast<double>(q.size());
-    std::vector<RecordId> expected;
-    for (size_t i = 0; i < ds->size(); ++i) {
-      if (ds->record(i).size() <
-          static_cast<size_t>(std::ceil(theta - 1e-9))) {
-        continue;
+  opts.buffer_bits = 100;
+  const BuiltAndMapped s = BuildAndMap(*ds, opts);
+  const GbKmvSketcher sketcher =
+      GbKmvIndexSearcher::MakeSketcher(*ds, opts).value();
+  const std::vector<ElementId>& buffered = sketcher.buffer_elements();
+  size_t checked = 0;
+  for (size_t i = 0; i < ds->size() && checked < 20; i += 7) {
+    std::vector<ElementId> elements;
+    for (ElementId e : ds->record(i)) {
+      if (std::find(buffered.begin(), buffered.end(), e) != buffered.end()) {
+        elements.push_back(e);
       }
-      const double est =
-          (*s)->EstimateContainment(q, static_cast<RecordId>(i)) *
-          static_cast<double>(q.size());
-      if (est >= theta - 1e-9) expected.push_back(static_cast<RecordId>(i));
     }
-    auto actual = (*s)->Search(q, threshold);
-    std::sort(actual.begin(), actual.end());
-    EXPECT_EQ(actual, expected) << "query " << qi;
+    if (elements.size() < 2) continue;
+    const Record q = MakeRecord(std::move(elements));
+    const GbKmvSketch q_sketch = sketcher.Sketch(q);
+    ASSERT_TRUE(q_sketch.gkmv.values().empty());
+    ASSERT_EQ(q.size(), q_sketch.buffer.Count());
+    const double p = static_cast<double>(q.size());
+    // θ = |H_X| exactly, and θ just above |H_X| − 1 (⌈θ⌉ = |H_X| again).
+    for (const double threshold : {1.0, (p - 0.5) / p}) {
+      const std::vector<RecordId> expected =
+          EstimatorScan(*s.built, *ds, q, threshold);
+      ASSERT_TRUE(std::binary_search(expected.begin(), expected.end(),
+                                     static_cast<RecordId>(i)));
+      EXPECT_EQ(CheckedSearch(*s.built, q, threshold), expected)
+          << "record " << i << " t* " << threshold;
+      EXPECT_EQ(CheckedSearch(*s.mapped, q, threshold), expected)
+          << "mapped, record " << i << " t* " << threshold;
+    }
+    ++checked;
   }
+  EXPECT_EQ(20u, checked);
+}
+
+TEST(GbKmvIndexTest, QueryBufferBelowThetaSkipsBufferOnlyPass) {
+  // o1 = |H_Q ∩ H_X| <= |H_Q|: when |H_Q| < ⌈θ⌉ no record qualifies on the
+  // buffer alone, so the search reads no buffered record beyond the ones
+  // the hash postings touched. Its counters are then exactly the ScanCount:
+  // one posting per shared sketch hash, one candidate per size-eligible
+  // record sharing one. Each query checked has a record that only the
+  // query's popcount bound rules out (K∩ = 0 and |H_X| >= ⌈θ⌉).
+  auto ds = TestDataset();
+  ASSERT_TRUE(ds.ok());
+  GbKmvIndexOptions opts;
+  opts.space_ratio = 0.15;
+  opts.buffer_bits = 128;
+  const BuiltAndMapped s = BuildAndMap(*ds, opts);
+  const GbKmvSketcher sketcher =
+      GbKmvIndexSearcher::MakeSketcher(*ds, opts).value();
+  std::vector<GbKmvSketch> sketches;
+  for (const Record& x : ds->records()) sketches.push_back(sketcher.Sketch(x));
+  const double threshold = 0.5;
+  size_t checked = 0;
+  for (size_t qi = 0; qi < ds->size() && checked < 10; ++qi) {
+    const Record& q = ds->record(qi);
+    const GbKmvSketch& q_sketch = sketches[qi];
+    const double theta = threshold * static_cast<double>(q.size());
+    const size_t min_size = static_cast<size_t>(std::ceil(theta - 1e-9));
+    if (q_sketch.buffer.Empty() || q_sketch.buffer.Count() >= min_size) {
+      continue;
+    }
+    uint64_t postings = 0;
+    uint64_t candidates = 0;
+    bool only_query_bound_rules_out = false;
+    for (size_t i = 0; i < ds->size(); ++i) {
+      std::vector<uint64_t> shared;
+      std::set_intersection(q_sketch.gkmv.values().begin(),
+                            q_sketch.gkmv.values().end(),
+                            sketches[i].gkmv.values().begin(),
+                            sketches[i].gkmv.values().end(),
+                            std::back_inserter(shared));
+      postings += shared.size();
+      const bool eligible = ds->record(i).size() >= min_size;
+      if (!shared.empty() && eligible) ++candidates;
+      if (shared.empty() && sketches[i].buffer.Count() >= min_size) {
+        only_query_bound_rules_out = true;
+      }
+    }
+    if (!only_query_bound_rules_out) continue;
+    for (const GbKmvIndexSearcher* searcher :
+         {s.built.get(), s.mapped.get()}) {
+      const QueryRequest request(q, threshold);
+      const QueryResponse response =
+          searcher->SearchQ(request, ThreadLocalQueryContext());
+      EXPECT_EQ(postings, response.stats.postings_scanned) << "query " << qi;
+      EXPECT_EQ(candidates, response.stats.candidates_generated)
+          << "query " << qi;
+    }
+    ++checked;
+  }
+  EXPECT_EQ(10u, checked);
 }
 
 TEST(GbKmvIndexTest, AccuracyBeatsGkmvAndKmv) {

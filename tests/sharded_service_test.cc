@@ -1206,6 +1206,50 @@ TEST(ShardLifecycleTest, IngestAnswersMatchFreshBuildForEveryMethod) {
   }
 }
 
+// At t* = 0 every live record qualifies: for the exact methods by
+// definition, for GB-KMV/G-KMV because an estimate is never negative. That
+// holds for a query sharing neither a sketch hash nor a buffer bit with any
+// record too, and across base, sealed and open shards with tombstones.
+TEST(ShardedServiceTest, ZeroThresholdReturnsEveryLiveRecord) {
+  const Dataset& ds = TestDataset();
+  const std::vector<Record> extras = ExtraRecords(3, 997);
+  std::vector<Record> queries = TestQueries(4);
+  queries.push_back(MakeRecord({100000, 100001, 100002}));
+  for (const SearchMethod method :
+       {SearchMethod::kGbKmv, SearchMethod::kGKmv, SearchMethod::kFreqSet,
+        SearchMethod::kBruteForce}) {
+    for (const size_t shards : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "method " << static_cast<int>(method) << " S="
+                   << shards);
+      SearcherConfig config = ServiceConfig(method, shards);
+      config.sharded.auto_promote_records = 2;
+      Result<std::unique_ptr<ShardedContainmentService>> service =
+          serve::BuildShardedService(ds, config);
+      ASSERT_TRUE(service.ok());
+      std::set<RecordId> live;
+      for (RecordId id = 0; id < ds.size(); ++id) live.insert(id);
+      for (const Record& extra : extras) {
+        live.insert((*service)->Ingest(extra).value());
+      }
+      for (const RecordId id :
+           {RecordId{5}, RecordId{250}, static_cast<RecordId>(ds.size())}) {
+        ASSERT_TRUE((*service)->Delete(id).ok());
+        live.erase(id);
+      }
+      const std::vector<RecordId> expected(live.begin(), live.end());
+      for (const bool want_scores : {false, true}) {
+        const std::vector<QueryResponse> responses = (*service)->BatchServe(
+            MakeRequests(queries, 0.0, 0, want_scores), 1);
+        for (size_t i = 0; i < queries.size(); ++i) {
+          EXPECT_EQ(expected, SortedIds(responses[i].hits))
+              << "q" << i << " want_scores " << want_scores;
+        }
+      }
+    }
+  }
+}
+
 // With auto_promote_records = 0 the open shard still seals at the fixed
 // default bound, so the per-ingest fold never grows without limit.
 TEST(ShardLifecycleTest, OpenShardSealsAtDefaultBound) {
