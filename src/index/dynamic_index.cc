@@ -9,23 +9,6 @@
 
 namespace gbkmv {
 
-namespace {
-
-// O(1) G-KMV pair estimate from summary counts (same derivation as the
-// static index: k = |L_Q| + |L_X| − K∩, U(k) = max of the two maxima).
-double GkmvEstimateFromCounts(size_t k_intersect, size_t q_size, size_t x_size,
-                              uint64_t q_max, uint64_t x_max) {
-  if (q_size == 0 || x_size == 0) return 0.0;
-  const size_t k = q_size + x_size - k_intersect;
-  if (k < 2) return 0.0;
-  const double u_k = HashToUnit(std::max(q_max, x_max));
-  if (u_k <= 0.0) return 0.0;
-  const double kd = static_cast<double>(k);
-  return static_cast<double>(k_intersect) / kd * (kd - 1.0) / u_k;
-}
-
-}  // namespace
-
 Result<std::unique_ptr<DynamicGbKmvIndex>> DynamicGbKmvIndex::Create(
     const Dataset& initial, const DynamicGbKmvOptions& options) {
   if (options.budget_units == 0) {
@@ -224,23 +207,36 @@ QueryResponse DynamicGbKmvIndex::SearchQ(const QueryRequest& request,
   for (const auto& [h, id] : delta_) {
     if (std::binary_search(q_hashes.begin(), q_hashes.end(), h)) ctx.Bump(id);
   }
-  size_t size_pruned = 0;
-  for (RecordId id : ctx.touched()) {
-    const size_t k_intersect = ctx.CountOf(id);
-    if (records_[id].size() < min_size) {
-      ++size_pruned;
-      continue;
-    }
+  auto score = [&](RecordId id) -> double {
     const GbKmvSketch& x = sketches_[id];
     const size_t o1 = Bitmap::IntersectCount(query_sketch.buffer, x.buffer);
     const uint64_t x_max = x.gkmv.empty() ? 0 : x.gkmv.values().back();
     const double est =
         static_cast<double>(o1) +
-        GkmvEstimateFromCounts(k_intersect, q_hashes.size(), x.gkmv.size(),
-                               q_max, x_max);
+        GkmvEstimateFromCounts(ctx.CountOf(id), q_hashes.size(),
+                               x.gkmv.size(), q_max, x_max);
     const double cap =
         static_cast<double>(std::min<size_t>(q, records_[id].size()));
-    const double estimate = std::min(est, cap);
+    return std::min(est, cap);
+  };
+  if (min_size == 0) {
+    // θ ≈ 0: every record qualifies, scored by its estimate (the static
+    // index's rule) — also one sharing neither a hash nor a buffer bit.
+    for (size_t i = 0; i < records_.size(); ++i) {
+      const RecordId id = static_cast<RecordId>(i);
+      collector.Add(id, score(id) * inv_q);
+    }
+    response.stats.candidates_generated += records_.size();
+    collector.Finish();
+    return response;
+  }
+  size_t size_pruned = 0;
+  for (RecordId id : ctx.touched()) {
+    if (records_[id].size() < min_size) {
+      ++size_pruned;
+      continue;
+    }
+    const double estimate = score(id);
     if (estimate >= theta - 1e-9) collector.Add(id, estimate * inv_q);
   }
   response.stats.candidates_generated += ctx.touched().size() - size_pruned;

@@ -4,29 +4,12 @@
 #include <bit>
 #include <cmath>
 
-#include "common/hash.h"
 #include "common/thread_pool.h"
 #include "obs/trace.h"
 #include "sketch/parallel_build.h"
 #include "storage/query_context.h"
 
 namespace gbkmv {
-
-namespace {
-
-// O(1) G-KMV pair estimate from summary quantities (see header).
-double GkmvEstimateFromCounts(size_t k_intersect, size_t q_size, size_t x_size,
-                              uint64_t q_max, uint64_t x_max) {
-  if (q_size == 0 || x_size == 0) return 0.0;
-  const size_t k = q_size + x_size - k_intersect;
-  if (k < 2) return 0.0;
-  const double u_k = HashToUnit(std::max(q_max, x_max));
-  if (u_k <= 0.0) return 0.0;
-  const double kd = static_cast<double>(k);
-  return static_cast<double>(k_intersect) / kd * (kd - 1.0) / u_k;
-}
-
-}  // namespace
 
 Result<GbKmvSketcher> GbKmvIndexSearcher::MakeSketcher(
     const Dataset& dataset, const GbKmvIndexOptions& options) {
@@ -59,21 +42,22 @@ Result<std::unique_ptr<GbKmvIndexSearcher>> GbKmvIndexSearcher::Create(
     const Dataset& dataset, const GbKmvIndexOptions& options) {
   Result<GbKmvSketcher> sketcher = MakeSketcher(dataset, options);
   if (!sketcher.ok()) return sketcher.status();
-  return CreateWithSketcher(dataset, std::move(sketcher.value()),
-                            options.num_threads);
+  return CreateWithSketcher(
+      dataset, std::make_shared<const GbKmvSketcher>(std::move(*sketcher)),
+      options.num_threads);
 }
 
 Result<std::unique_ptr<GbKmvIndexSearcher>>
-GbKmvIndexSearcher::CreateWithSketcher(const Dataset& dataset,
-                                       GbKmvSketcher sketcher,
-                                       size_t num_threads) {
+GbKmvIndexSearcher::CreateWithSketcher(
+    const Dataset& dataset, std::shared_ptr<const GbKmvSketcher> sketcher,
+    size_t num_threads) {
   if (dataset.empty()) {
     return Status::InvalidArgument("dataset is empty");
   }
   std::unique_ptr<GbKmvIndexSearcher> s(new GbKmvIndexSearcher(&dataset));
-  const size_t buffer_bits = sketcher.buffer_bits();
+  const size_t buffer_bits = sketcher->buffer_bits();
   s->chosen_buffer_bits_ = buffer_bits;
-  s->sketcher_ = std::make_unique<GbKmvSketcher>(std::move(sketcher));
+  s->sketcher_ = std::move(sketcher);
 
   const std::unique_ptr<ThreadPool> pool =
       MakeBuildPool(num_threads, dataset.size());
@@ -137,7 +121,7 @@ Result<std::unique_ptr<GbKmvIndexSearcher>> GbKmvIndexSearcher::Merge(
   std::unique_ptr<GbKmvIndexSearcher> merged(
       new GbKmvIndexSearcher(&dataset));
   merged->chosen_buffer_bits_ = first.chosen_buffer_bits_;
-  merged->sketcher_ = std::make_unique<GbKmvSketcher>(*first.sketcher_);
+  merged->sketcher_ = first.sketcher_;
   merged->words_per_record_ = first.words_per_record_;
   merged->sketch_threshold_ = first.sketch_threshold_;
   merged->owned_record_sizes_.reserve(survivors);

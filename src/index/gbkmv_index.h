@@ -89,10 +89,11 @@ class GbKmvIndexSearcher : public ContainmentSearcher {
   // therefore every pairwise containment estimate involving it — is
   // identical whether the record lives in a shard or in the single full
   // index the sketcher was derived from (the bit-identical sharding
-  // invariant, docs/sharding.md). By value: the sharded service copies its
-  // shared global sketcher in, Create moves its freshly derived one.
+  // invariant, docs/sharding.md). The searcher shares `sketcher`: the
+  // sharded service hands every shard it builds its one global sketcher.
   static Result<std::unique_ptr<GbKmvIndexSearcher>> CreateWithSketcher(
-      const Dataset& dataset, GbKmvSketcher sketcher, size_t num_threads = 0);
+      const Dataset& dataset, std::shared_ptr<const GbKmvSketcher> sketcher,
+      size_t num_threads = 0);
 
   // One immutable source of an index-level merge: a searcher plus an
   // optional tombstone mask (deleted != null and (*deleted)[i] != 0 drops
@@ -111,11 +112,12 @@ class GbKmvIndexSearcher : public ContainmentSearcher {
   // ascending local id within a source) and must outlive the searcher.
   // Because a record's flat row is a pure function of (record, sketcher),
   // the merged searcher answers bit-identically — hits, scores, stats —
-  // to CreateWithSketcher over `dataset` with the shared sketcher. All
-  // sources must share the first source's sketcher parameters (buffer
-  // width, global threshold); InvalidArgument otherwise, and
-  // InvalidArgument when every row is tombstoned (an index cannot be
-  // empty — the caller drops the shard instead).
+  // to CreateWithSketcher over `dataset` with the shared sketcher, and it
+  // shares the first source's sketcher. All sources must share the first
+  // source's sketcher parameters (buffer width, global threshold);
+  // InvalidArgument otherwise, and InvalidArgument when every row is
+  // tombstoned (an index cannot be empty — the caller drops the shard
+  // instead).
   static Result<std::unique_ptr<GbKmvIndexSearcher>> Merge(
       std::span<const MergeSource> sources, const Dataset& dataset);
 
@@ -141,6 +143,7 @@ class GbKmvIndexSearcher : public ContainmentSearcher {
   size_t num_records() const { return record_sizes_.size(); }
   size_t chosen_buffer_bits() const { return chosen_buffer_bits_; }
   uint64_t global_threshold() const { return sketcher_->global_threshold(); }
+  const GbKmvSketcher& sketcher() const { return *sketcher_; }
 
   // Snapshot persistence (src/io; defined in io/persist_index.cc). The
   // snapshot embeds the dataset and the flat sketch payload, so a reloaded
@@ -196,7 +199,9 @@ class GbKmvIndexSearcher : public ContainmentSearcher {
   void BuildQueryStructures(bool rebuild_postings = true);
 
   const Dataset* dataset_;  // null for mapped (dataset-free) loads
-  std::unique_ptr<GbKmvSketcher> sketcher_;
+  // Shared with every searcher built or merged from the same sketcher;
+  // loaded searchers own the one their snapshot carries.
+  std::shared_ptr<const GbKmvSketcher> sketcher_;
   size_t chosen_buffer_bits_ = 0;
   uint64_t space_units_ = 0;  // sketch payload (bitmaps + stored hashes)
 

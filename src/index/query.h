@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "data/record.h"
@@ -39,6 +40,12 @@ struct QueryRequest {
   // counters are cheap (per-row, not per-posting), so searchers fill them
   // regardless; the flag lets front-ends decide whether to surface them.
   bool want_stats = false;
+  // Rows this search treats as absent: a row whose byte is non-zero is
+  // never a hit and never counts in stats.candidates_refined; rows past the
+  // end of the mask are live. Borrowed like `record`. Not part of the
+  // request's identity (the query cache ignores it): the sharded service
+  // sets it on its per-shard copies to drop tombstoned rows.
+  std::span<const uint8_t> excluded;
 
   // No default constructor: a request without a record is not a state any
   // SearchQ can serve, so it is unrepresentable.
@@ -101,9 +108,11 @@ struct QueryResponse {
 
 // Accumulates the threshold-passing stream of one SearchQ call into a
 // QueryResponse: unlimited queries append and id-sort, top-k queries keep a
-// bounded heap in the QueryContext's reusable buffer. Finish() must be
-// called exactly once; it also sets stats.candidates_refined to the number
-// of Add() calls (every qualifying hit, kept or evicted).
+// bounded heap in the QueryContext's reusable buffer. Add() drops the
+// request's excluded rows before anything else, so every searcher honours
+// the mask without knowing about it. Finish() must be called exactly once;
+// it also sets stats.candidates_refined to the number of hits Add() kept
+// (every qualifying, non-excluded hit, kept in the result or evicted).
 class HitCollector {
  public:
   HitCollector(const QueryRequest& request, QueryContext& ctx,
@@ -118,6 +127,7 @@ class HitCollector {
                         ? std::numeric_limits<size_t>::max()
                         : top_k_ + kLazyHeapSlack),
         sort_unlimited_(request.want_scores),
+        excluded_(request.excluded),
         heap_(ctx.ScoreHeap()) {
     heap_.clear();
   }
@@ -129,6 +139,7 @@ class HitCollector {
   static constexpr size_t kLazyHeapSlack = 64;
 
   void Add(RecordId id, double score) {
+    if (id < excluded_.size() && excluded_[id] != 0) return;
     ++added_;
     const float s = static_cast<float>(score);
     if (top_k_ == 0 ||
@@ -229,6 +240,7 @@ class HitCollector {
   size_t top_k_;
   size_t lazy_limit_;  // top_k_ + kLazyHeapSlack, saturating
   bool sort_unlimited_;
+  std::span<const uint8_t> excluded_;
   bool overflowed_ = false;  // top-k only: more than k hits seen
   uint64_t added_ = 0;
   uint64_t evictions_ = 0;

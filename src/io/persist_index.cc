@@ -153,7 +153,8 @@ Result<std::unique_ptr<GbKmvIndexSearcher>> GbKmvIndexSearcher::LoadAligned(
               : std::max<size_t>(dataset->universe_size(),
                                  kMaxSelfContainedUniverse));
   if (!sketcher.ok()) return sketcher.status();
-  s->sketcher_ = std::make_unique<GbKmvSketcher>(std::move(sketcher.value()));
+  s->sketcher_ =
+      std::make_shared<const GbKmvSketcher>(std::move(sketcher.value()));
 
   uint64_t chosen_buffer_bits = 0;
   uint64_t num_records = 0;
@@ -276,7 +277,8 @@ Result<std::unique_ptr<GbKmvIndexSearcher>> GbKmvIndexSearcher::LoadFrom(
       in, std::max<size_t>(dataset.universe_size(),
                            kMaxSelfContainedUniverse));
   if (!sketcher.ok()) return sketcher.status();
-  s->sketcher_ = std::make_unique<GbKmvSketcher>(std::move(sketcher.value()));
+  s->sketcher_ =
+      std::make_shared<const GbKmvSketcher>(std::move(sketcher.value()));
 
   uint64_t chosen_buffer_bits = 0;
   uint64_t num_sketches = 0;

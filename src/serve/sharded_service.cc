@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <numeric>
@@ -200,7 +201,7 @@ ShardedContainmentService::Build(const Dataset& dataset,
         GbKmvIndexSearcher::MakeSketcher(dataset, options);
     if (!sketcher.ok()) return sketcher.status();
     service->global_sketcher_ =
-        std::make_unique<GbKmvSketcher>(std::move(sketcher.value()));
+        std::make_shared<const GbKmvSketcher>(std::move(sketcher.value()));
   }
   if (config.method == SearchMethod::kMinHashLsh) {
     for (const Record& r : dataset.records()) {
@@ -266,9 +267,8 @@ ShardedContainmentService::BuildShardSearcher(const Dataset& shard_dataset,
     case SearchMethod::kGbKmv:
     case SearchMethod::kGKmv: {
       Result<std::unique_ptr<GbKmvIndexSearcher>> s =
-          GbKmvIndexSearcher::CreateWithSketcher(shard_dataset,
-                                                 *global_sketcher_,
-                                                 num_threads);
+          GbKmvIndexSearcher::CreateWithSketcher(
+              shard_dataset, global_sketcher_, num_threads);
       if (!s.ok()) return s.status();
       return std::unique_ptr<ContainmentSearcher>(std::move(s.value()));
     }
@@ -458,23 +458,6 @@ void RecordServeObservations(
   }
 }
 
-// Drops hits whose local row is tombstoned (mask may be shorter than the
-// shard; rows past the end are live). Every dropped hit was a qualifying
-// candidate of the unpurged index, so candidates_refined goes down with it
-// — the qualifying count a purged index would report. The surviving hits
-// and scores are exactly the purged index's: a row's score depends only on
-// its own sketch and the query.
-void FilterTombstonedHits(const std::vector<uint8_t>& deleted,
-                          QueryResponse* response) {
-  size_t kept = 0;
-  for (const QueryHit& hit : response->hits) {
-    if (hit.id < deleted.size() && deleted[hit.id] != 0) continue;
-    response->hits[kept++] = hit;
-  }
-  response->stats.candidates_refined -= response->hits.size() - kept;
-  response->hits.resize(kept);
-}
-
 // Tombstone mask -> ascending deleted local ids (the manifest v2 wire
 // encoding; empty mask -> empty vector).
 std::vector<uint32_t> DeletedLocalIds(const std::vector<uint8_t>& mask) {
@@ -503,9 +486,9 @@ std::vector<QueryResponse> ShardedContainmentService::BatchServe(
   struct Live {
     std::shared_ptr<ActiveShard> pin;
     std::span<const RecordId> ids;
-    // Tombstone mask of the shard; null when it has none. Stable for the
-    // whole batch: Delete writes masks under the unique lock only.
-    const std::vector<uint8_t>* deleted = nullptr;
+    // Tombstone mask of the shard (empty when it has none). Stable for the
+    // whole batch: masks are written under the unique lock only.
+    std::span<const uint8_t> deleted;
   };
   std::vector<Live> live;
   live.reserve(shards_.size());
@@ -519,8 +502,8 @@ std::vector<QueryResponse> ShardedContainmentService::BatchServe(
   for (const Shard& shard : shards_) {
     Result<std::shared_ptr<ActiveShard>> active = PinShard(shard);
     GBKMV_CHECK(active.ok());
-    live.push_back({std::move(active.value()), shard.global_ids,
-                    shard.num_deleted > 0 ? &shard.deleted : nullptr});
+    live.push_back(
+        {std::move(active.value()), shard.global_ids, shard.deleted});
   }
 
   // Observability (docs/observability.md). Everything below is passive:
@@ -590,33 +573,15 @@ std::vector<QueryResponse> ShardedContainmentService::BatchServe(
   std::vector<ShardTask> tasks;
   if (!pending.empty() && S > 0) {
     tasks.resize(pending.size() * S);
-    // A shard with live tombstones is searched without per-shard top-k
-    // truncation (a tombstoned hit must not consume a top-k slot) and with
-    // scores on, so the global merge can still rank; its tombstoned hits
-    // are dropped right after the search. Clean shards keep the original
-    // request — their per-shard truncation stays globally safe because
-    // tombstones elsewhere only remove competitors.
-    bool any_tombstones = false;
-    for (const Live& l : live) any_tombstones |= l.deleted != nullptr;
-    std::vector<QueryRequest> untruncated;
-    if (any_tombstones) {
-      untruncated.reserve(pending.size());
-      for (size_t i : pending) {
-        QueryRequest modified = requests[i];
-        if (modified.top_k > 0) {
-          modified.top_k = 0;
-          modified.want_scores = true;
-        }
-        untruncated.push_back(modified);
-      }
-    }
     const auto run_task = [&](size_t t) {
       const size_t qi = t / S;
       const size_t s = t % S;
       const RequestState& state = states[pending[qi]];
-      const std::vector<uint8_t>* deleted = live[s].deleted;
-      const QueryRequest& request =
-          deleted != nullptr ? untruncated[qi] : requests[pending[qi]];
+      // The shard's collector drops its tombstoned rows, so the shard
+      // answers — hits, scores, candidates_refined — exactly as one with
+      // those rows purged, and its per-shard top-k stays globally safe.
+      QueryRequest request = requests[pending[qi]];
+      request.excluded = live[s].deleted;
       ShardTask& task = tasks[t];
       task.start_ns = now();
       {
@@ -628,7 +593,6 @@ std::vector<QueryResponse> ShardedContainmentService::BatchServe(
             live[s].pin->searcher->SearchQ(request, ThreadLocalQueryContext());
         if (state.sampled) task.spans = sink.Take();
       }
-      if (deleted != nullptr) FilterTombstonedHits(*deleted, &task.response);
       task.end_ns = now();
       if (metrics_on) {
         metrics.shard_search_ns->Record(task.end_ns - task.start_ns);
@@ -1288,7 +1252,7 @@ ShardedContainmentService::Load(const std::string& dir,
         GbKmvSketcher::LoadFrom(in, static_cast<size_t>(universe));
     if (!sketcher.ok()) return sketcher.status();
     service->global_sketcher_ =
-        std::make_unique<GbKmvSketcher>(std::move(sketcher.value()));
+        std::make_shared<const GbKmvSketcher>(std::move(sketcher.value()));
   }
 
   // A manifest deleted-local-id list -> the shard's tombstone mask.
@@ -1336,9 +1300,11 @@ ShardedContainmentService::Load(const std::string& dir,
     }
     service->shards_.push_back(std::move(shard));
   }
-  service->base_shard_count_ =
-      std::min<size_t>(static_cast<size_t>(base_shard_count),
-                       service->shards_.size());
+  if (base_shard_count > service->shards_.size()) {
+    return Status::Corruption("manifest counts more base shards than it "
+                              "lists");
+  }
+  service->base_shard_count_ = static_cast<size_t>(base_shard_count);
   // Keep the reloaded config self-describing: num_shards is not stored
   // separately (the base partition IS the shard count Build resolved).
   service->config_.sharded.num_shards =
@@ -1386,6 +1352,31 @@ ShardedContainmentService::Load(const std::string& dir,
       }
       service->shards_.push_back(std::move(shard));
     }
+  }
+  // The merge invariant Delete, Ingest and the fan-out merge rely on: ids
+  // ascend within a shard, no id lives in two shards, and every id was
+  // issued below next_global_id. A map that breaks it would tombstone or
+  // serve the wrong rows, or issue an id twice.
+  if (next_global_id > uint64_t{std::numeric_limits<RecordId>::max()} + 1) {
+    return Status::Corruption("manifest's next global id overflows");
+  }
+  std::vector<RecordId> all_ids;
+  for (const Shard& shard : service->shards_) {
+    const std::vector<RecordId>& ids = shard.global_ids;
+    if (std::adjacent_find(ids.begin(), ids.end(),
+                           std::greater_equal<RecordId>()) != ids.end()) {
+      return Status::Corruption("manifest's global ids do not ascend within "
+                                "a shard");
+    }
+    all_ids.insert(all_ids.end(), ids.begin(), ids.end());
+  }
+  std::sort(all_ids.begin(), all_ids.end());
+  if (std::adjacent_find(all_ids.begin(), all_ids.end()) != all_ids.end()) {
+    return Status::Corruption("manifest maps one global id to two shards");
+  }
+  if (!all_ids.empty() && all_ids.back() >= next_global_id) {
+    return Status::Corruption("manifest maps a global id at or past its "
+                              "next global id");
   }
   // Without a resident budget every shard activates now, through the same
   // path a lazy shard takes on its first query.

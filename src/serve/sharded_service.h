@@ -23,8 +23,9 @@
 //     like every other, into which each Ingest folds one freshly sketched
 //     row. Promote() seals it; nothing is rebuilt, so answers never change;
 //   * tombstone deletes: Delete(id) marks the record in a per-shard
-//     deleted-id mask; serving filters tombstoned hits (hits and scores
-//     stay bit-identical to an index without the record), and the rows are
+//     deleted-id mask; each shard search drops masked rows where it
+//     collects hits (QueryRequest::excluded, so hits and scores stay
+//     bit-identical to an index without the record), and the rows are
 //     physically purged at the next merge touching their shard;
 //   * merge compaction: sealed GB-KMV shards merge at the index level
 //     (GbKmvIndexSearcher::Merge — flat sketch rows concatenated minus
@@ -195,7 +196,10 @@ class ShardedContainmentService {
   // Load checks that every shard file exists, then activates the shards
   // through PinShard, the one activation path: all of them before
   // returning by default, or — with options.max_resident_shards /
-  // max_resident_bytes non-zero — each on its first query. Every
+  // max_resident_bytes non-zero — each on its first query. Load rejects
+  // global-id maps that break the merge invariant (ids not ascending in a
+  // shard, an id in two shards, an id at or past the next global id) and
+  // a base shard count above the shard count (Corruption). Every
   // activation verifies the file's row count against the manifest's
   // global-id map (Corruption). An activation that fails at serve time —
   // the snapshot was deleted or corrupted after Load — is a fatal check:
@@ -331,7 +335,10 @@ class ShardedContainmentService {
 
   SearcherConfig config_;
   size_t minhash_size_hint_ = 0;  // global max |X| (kMinHashLsh only)
-  std::unique_ptr<GbKmvSketcher> global_sketcher_;  // kGbKmv/kGKmv only
+  // kGbKmv/kGKmv only. Every shard BuildShard creates shares it, directly
+  // or through Merge's first source; a shard loaded from a file holds the
+  // sketcher its file carries.
+  std::shared_ptr<const GbKmvSketcher> global_sketcher_;
 
   // Guards every member below it.
   mutable std::shared_mutex state_mutex_;

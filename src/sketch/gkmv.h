@@ -12,10 +12,12 @@
 #ifndef GBKMV_SKETCH_GKMV_H_
 #define GBKMV_SKETCH_GKMV_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "data/dataset.h"
 #include "data/record.h"
 #include "sketch/kmv.h"
@@ -69,6 +71,22 @@ struct GkmvPairEstimate {
 
 // Combines two G-KMV sketches built with the same threshold and seed.
 GkmvPairEstimate EstimateGkmvPair(const GkmvSketch& q, const GkmvSketch& x);
+
+// The same D̂∩ (Eq. 25) from summary counts alone, O(1): K∩, |L_Q|, |L_X|
+// and each sketch's largest value give k = |L_Q| + |L_X| − K∩ and
+// U(k) = max(max L_Q, max L_X). The index searchers score every candidate
+// with it; inline so their per-candidate loops keep it inlined.
+inline double GkmvEstimateFromCounts(size_t k_intersect, size_t q_size,
+                                     size_t x_size, uint64_t q_max,
+                                     uint64_t x_max) {
+  if (q_size == 0 || x_size == 0) return 0.0;
+  const size_t k = q_size + x_size - k_intersect;
+  if (k < 2) return 0.0;
+  const double u_k = HashToUnit(std::max(q_max, x_max));
+  if (u_k <= 0.0) return 0.0;
+  const double kd = static_cast<double>(k);
+  return static_cast<double>(k_intersect) / kd * (kd - 1.0) / u_k;
+}
 
 // Containment Ĉ = D̂∩ / |Q| (Eq. 26).
 double EstimateContainmentGkmv(const GkmvSketch& query_sketch,

@@ -7,6 +7,7 @@
 #include "data/synthetic.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
+#include "storage/query_context.h"
 
 namespace gbkmv {
 namespace {
@@ -176,6 +177,49 @@ TEST(DynamicIndexTest, EmptyInitialDatasetWithNoBuffer) {
   (*index)->Insert(MakeRecord({1, 2, 3}));
   const auto result = (*index)->Search(MakeRecord({1, 2, 3}), 0.5);
   EXPECT_EQ(result.size(), 1u);
+}
+
+// At t* = 0 every record qualifies, scored by its estimate, as in the
+// static index: also a record sharing neither a sketch hash nor a buffer
+// bit with the query, which no candidate pass ever reaches.
+TEST(DynamicIndexTest, ZeroThresholdReturnsEveryRecord) {
+  std::vector<Record> records;
+  for (ElementId base = 0; base < 7; ++base) {
+    records.push_back(MakeRecord({base, base + 1, base + 2, 40, 41}));
+  }
+  auto initial = Dataset::Create(records);
+  ASSERT_TRUE(initial.ok());
+  DynamicGbKmvOptions options;
+  options.budget_units = 1000;
+  options.buffer_bits = 4;
+  auto index = DynamicGbKmvIndex::Create(*initial, options);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+
+  // Disjoint from every record: empty buffer, no shared hash.
+  const Record disjoint = MakeRecord({300, 301});
+  QueryRequest request(disjoint, 0.0);
+  const QueryResponse none =
+      (*index)->SearchQ(request, ThreadLocalQueryContext());
+  ASSERT_EQ(records.size(), none.hits.size());
+  for (size_t i = 0; i < none.hits.size(); ++i) {
+    EXPECT_EQ(static_cast<RecordId>(i), none.hits[i].id);
+    EXPECT_EQ(0.0f, none.hits[i].score);
+  }
+
+  // A record as the query: every record comes back, and a record that
+  // also qualifies at a positive threshold keeps that score.
+  const Record& query = records[2];
+  QueryRequest zero(query, 0.0);
+  QueryRequest positive(query, 0.3);
+  const QueryResponse all =
+      (*index)->SearchQ(zero, ThreadLocalQueryContext());
+  const QueryResponse some =
+      (*index)->SearchQ(positive, ThreadLocalQueryContext());
+  ASSERT_EQ(records.size(), all.hits.size());
+  ASSERT_FALSE(some.hits.empty());
+  for (const QueryHit& hit : some.hits) {
+    EXPECT_EQ(hit.score, all.hits[hit.id].score) << hit.id;
+  }
 }
 
 class DynamicBudgetSweep : public ::testing::TestWithParam<double> {};

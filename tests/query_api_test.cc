@@ -12,6 +12,8 @@
 #include "core/containment.h"
 #include "data/synthetic.h"
 #include "index/dynamic_index.h"
+#include "index/query.h"
+#include "storage/query_context.h"
 
 namespace gbkmv {
 namespace {
@@ -215,6 +217,63 @@ TEST(QueryApiTest, EmptyQueryAndEmptyRequestBehave) {
   const QueryResponse response = RunQ(*searcher, empty, 0.5, 10);
   EXPECT_TRUE(response.hits.empty());
   EXPECT_EQ(response.stats, QueryStats{});
+}
+
+// The collector's exclusion mask: an excluded row behaves exactly as if it
+// had never been offered — same hits, scores, candidates_refined and
+// heap_evictions as the stream without it — whether it arrives inside the
+// top-k lazy window or after the heap overflowed, on the boolean path too.
+// Rows past the end of the mask are live.
+TEST(QueryApiTest, HitCollectorDropsExcludedRowsBeforeCounting) {
+  constexpr RecordId kRows = 200;
+  // Scores are distinct; the excluded rows (and row 190, past the mask)
+  // score highest, so each would be a top-k winner if it leaked through.
+  std::vector<std::pair<RecordId, double>> stream;
+  for (RecordId id = 0; id < kRows; ++id) {
+    stream.push_back({id, static_cast<double>((id * 37) % kRows) / kRows});
+  }
+  const RecordId in_window = 5;        // added while the lazy window holds
+  const RecordId after_overflow = 150;  // added after it overflowed
+  const RecordId past_mask = 190;
+  stream[in_window].second = 1.0;
+  stream[after_overflow].second = 0.999;
+  stream[past_mask].second = 0.998;
+  std::vector<uint8_t> mask(160, 0);  // shorter than the rows
+  mask[in_window] = 1;
+  mask[after_overflow] = 1;
+  mask[7] = 1;
+
+  const Record query = MakeRecord({1, 2, 3});
+  const auto collect = [&](const QueryRequest& request, bool skip_masked) {
+    QueryResponse response;
+    HitCollector collector(request, ThreadLocalQueryContext(), &response);
+    for (const auto& [id, score] : stream) {
+      if (skip_masked && id < mask.size() && mask[id] != 0) continue;
+      collector.Add(id, score);
+    }
+    collector.Finish();
+    return response;
+  };
+  for (size_t top_k : {size_t{0}, size_t{1}, size_t{10}}) {
+    for (bool want_scores : {true, false}) {
+      QueryRequest request(query, 0.5);
+      request.top_k = top_k;
+      request.want_scores = want_scores;
+      const QueryResponse expected = collect(request, true);
+      request.excluded = mask;
+      const QueryResponse masked = collect(request, false);
+      EXPECT_EQ(expected, masked) << "k=" << top_k << " scores=" << want_scores;
+      EXPECT_EQ(kRows - 3, masked.stats.candidates_refined);
+      for (const QueryHit& hit : masked.hits) {
+        EXPECT_TRUE(hit.id >= mask.size() || mask[hit.id] == 0) << hit.id;
+      }
+      if (top_k > 0) {
+        ASSERT_EQ(top_k, masked.hits.size());
+        EXPECT_EQ(past_mask, masked.hits[0].id);
+        EXPECT_EQ(kRows - 3 - top_k, masked.stats.heap_evictions);
+      }
+    }
+  }
 }
 
 // The dynamic index speaks the same API, including mid-stream with an

@@ -131,7 +131,7 @@ class FreshReference {
       options.buffer_bits =
           config.method == SearchMethod::kGKmv ? 0 : config.buffer_bits;
       options.seed = config.seed;
-      sketcher_ = std::make_unique<GbKmvSketcher>(
+      sketcher_ = std::make_shared<const GbKmvSketcher>(
           GbKmvIndexSearcher::MakeSketcher(base, options).value());
     }
     for (const Record& r : base.records()) {
@@ -154,7 +154,7 @@ class FreshReference {
       case SearchMethod::kGbKmv:
       case SearchMethod::kGKmv:
         searcher =
-            GbKmvIndexSearcher::CreateWithSketcher(dataset, *sketcher_, 1)
+            GbKmvIndexSearcher::CreateWithSketcher(dataset, sketcher_, 1)
                 .value();
         break;
       case SearchMethod::kFreqSet:
@@ -192,7 +192,7 @@ class FreshReference {
 
  private:
   SearcherConfig config_;
-  std::unique_ptr<GbKmvSketcher> sketcher_;
+  std::shared_ptr<const GbKmvSketcher> sketcher_;
   size_t minhash_hint_ = 0;
 };
 
@@ -794,16 +794,23 @@ TEST(ShardLifecycleTest, MergeCompactionMatchesFreshUnionBuildAcrossGrid) {
   }
 }
 
-// Physically purging tombstones at merge time serves the same hits (ids
-// and float scores) as filtering them at query time, across the grid.
+// Physically purging tombstones at merge time serves the same responses
+// (hit ids, float scores, candidates_refined, heap_evictions) as dropping
+// them where each shard collects its hits, across the grid and every
+// request shape — including top-k, where a tombstoned row would otherwise
+// take a winner's slot.
 TEST(ShardLifecycleTest, PurgedAndFilteredTombstonesServeIdenticalHits) {
   const Dataset& ds = TestDataset();
   const std::vector<Record> extras = ExtraRecords(10, 992);
-  std::vector<Record> queries = TestQueries(20);
-  queries.insert(queries.end(), extras.begin(), extras.end());
   // Two base records plus two promoted extras die.
   const RecordId base0 = 3, base1 = 157;
   const RecordId extra0 = ds.size() + 1, extra1 = ds.size() + 7;
+  // The dead records themselves are queries too: each would be its own
+  // best hit.
+  std::vector<Record> queries = TestQueries(20);
+  queries.insert(queries.end(), extras.begin(), extras.end());
+  queries.push_back(ds.record(base0));
+  queries.push_back(ds.record(base1));
 
   for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
     SearcherConfig config = ServiceConfig(SearchMethod::kGbKmv, shards);
@@ -836,19 +843,64 @@ TEST(ShardLifecycleTest, PurgedAndFilteredTombstonesServeIdenticalHits) {
     EXPECT_EQ((*filtered)->size() - 2, (*purged)->size());
 
     for (size_t threads : kThreadCounts) {
-      const auto requests = MakeRequests(queries, 0.4, 0, true);
-      const auto expected = (*filtered)->BatchServe(requests, threads);
-      const auto actual = (*purged)->BatchServe(requests, threads);
-      for (size_t i = 0; i < requests.size(); ++i) {
-        EXPECT_EQ(expected[i].hits, actual[i].hits)
-            << "S=" << shards << " T=" << threads << " q" << i;
-        for (const QueryHit& hit : actual[i].hits) {
-          EXPECT_TRUE(hit.id != base0 && hit.id != base1 &&
-                      hit.id != extra0 && hit.id != extra1)
-              << "tombstoned id " << hit.id << " served";
+      for (size_t top_k : {size_t{0}, size_t{1}, size_t{10}}) {
+        for (bool want_scores : {true, false}) {
+          const auto requests =
+              MakeRequests(queries, 0.4, top_k, want_scores);
+          const auto expected = (*filtered)->BatchServe(requests, threads);
+          const auto actual = (*purged)->BatchServe(requests, threads);
+          for (size_t i = 0; i < requests.size(); ++i) {
+            SCOPED_TRACE(::testing::Message()
+                         << "S=" << shards << " T=" << threads << " k="
+                         << top_k << " scores=" << want_scores << " q" << i);
+            EXPECT_EQ(expected[i].hits, actual[i].hits);
+            EXPECT_EQ(expected[i].stats.candidates_refined,
+                      actual[i].stats.candidates_refined);
+            EXPECT_EQ(expected[i].stats.heap_evictions,
+                      actual[i].stats.heap_evictions);
+            for (const QueryHit& hit : expected[i].hits) {
+              EXPECT_TRUE(hit.id != base0 && hit.id != base1 &&
+                          hit.id != extra0 && hit.id != extra1)
+                  << "tombstoned id " << hit.id << " served";
+            }
+          }
         }
       }
     }
+  }
+}
+
+// Every GB-KMV shard the service builds, folds or merges shares the
+// service's one sketcher instead of holding a copy of it.
+TEST(ShardLifecycleTest, BuiltFoldedAndMergedShardsShareOneSketcher) {
+  const Dataset& ds = TestDataset();
+  const std::vector<Record> extras = ExtraRecords(8, 993);
+  Result<std::unique_ptr<ShardedContainmentService>> service =
+      serve::BuildShardedService(ds, ServiceConfig(SearchMethod::kGbKmv, 4));
+  ASSERT_TRUE(service.ok());
+  // Two sealed shards of three rows (one built, two folds each), one
+  // tombstone, a merge of the two, then a fresh two-row open shard.
+  for (size_t i = 0; i < 6; ++i) {
+    ASSERT_TRUE((*service)->Ingest(extras[i]).ok());
+    if (i % 3 == 2) ASSERT_TRUE((*service)->Promote().ok());
+  }
+  ASSERT_TRUE((*service)->Delete(ds.size() + 1).ok());
+  const Result<serve::MutationResult> compacted =
+      (*service)->Compact({.all = true});
+  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+  EXPECT_EQ(2u, compacted->shards_merged);
+  ASSERT_TRUE((*service)->Ingest(extras[6]).ok());
+  ASSERT_TRUE((*service)->Ingest(extras[7]).ok());
+
+  const size_t total = (*service)->num_shards() + 1;  // + the open shard
+  ASSERT_EQ(4u + 2u, total);
+  const GbKmvSketcher* shared = nullptr;
+  for (size_t i = 0; i < total; ++i) {
+    const auto* searcher = dynamic_cast<const GbKmvIndexSearcher*>(
+        (*service)->shard(i).searcher);
+    ASSERT_NE(nullptr, searcher);
+    if (shared == nullptr) shared = &searcher->sketcher();
+    EXPECT_EQ(shared, &searcher->sketcher()) << "shard " << i;
   }
 }
 
@@ -1480,6 +1532,109 @@ TEST(ShardedServiceTest, Version2ManifestIngestShardLoadsAsSealedShard) {
   EXPECT_TRUE(again->noop);
   EXPECT_EQ(ingest_base + fresh.size(),
             (*loaded)->Ingest(MakeRecord({4600, 4601})).value());
+  std::filesystem::remove_all(dir);
+}
+
+// Writes a version-3 manifest for a FreqSet service over the shard files
+// already in `dir`, field by field as Save lays it out, with the given
+// global-id maps, next global id and base shard count.
+void WriteFreqSetManifest(const std::string& dir,
+                          const SearcherConfig& config,
+                          const std::vector<std::vector<RecordId>>& maps,
+                          uint64_t next_global_id, uint64_t base_shards) {
+  io::SnapshotWriter manifest;
+  io::WriteSnapshotMeta(&manifest, io::kShardedManifestKind, 0);
+  io::Writer* out = manifest.AddSection(io::kSectionManifest);
+  out->PutU32(3);
+  out->PutString("freqset");
+  out->PutU8(static_cast<uint8_t>(config.sharded.partitioner));
+  out->PutDouble(config.space_ratio);
+  out->PutU64(static_cast<uint64_t>(config.buffer_bits));
+  out->PutU64(config.lshe_num_hashes);
+  out->PutU64(config.lshe_num_partitions);
+  out->PutU64(config.seed);
+  out->PutU64(0);  // cache capacity
+  out->PutU64(0);  // auto-promote records
+  out->PutU64(0);  // MinHash-LSH size hint
+  out->PutU64(next_global_id);
+  out->PutU64(base_shards);
+  out->PutDouble(0.0);  // tier ratio
+  out->PutU64(2);       // min shards
+  out->PutDouble(0.0);  // purge threshold
+  out->PutBool(false);  // no sketcher (FreqSet)
+  out->PutU64(maps.size());
+  for (size_t k = 0; k < maps.size(); ++k) {
+    out->PutString(k == 0 ? "shard-000.snap" : "shard-001.snap");
+    out->PutVecU32(maps[k]);
+    out->PutVecU32({});  // no tombstones
+  }
+  out->PutBool(false);  // no open shard
+  ASSERT_TRUE(manifest.WriteTo(dir + "/manifest.snap").ok());
+}
+
+// Global-id maps that break the merge invariant are Corruption on Load,
+// never a service that tombstones or serves the wrong rows. Each bad map
+// keeps every shard's row count, so only the id checks can catch it.
+TEST(ShardedServiceTest, ManifestIdMapsBreakingTheMergeInvariantAreCorruption) {
+  const Dataset& ds = TestDataset();
+  const std::string dir = ::testing::TempDir() + "sharded_bad_ids";
+  const SearcherConfig config = ServiceConfig(SearchMethod::kFreqSet, 2);
+  Result<std::unique_ptr<ShardedContainmentService>> built =
+      serve::BuildShardedService(ds, config);
+  ASSERT_TRUE(built.ok());
+  ASSERT_TRUE((*built)->Save(dir).ok());
+  std::vector<std::vector<RecordId>> maps;
+  for (size_t k = 0; k < 2; ++k) {
+    const std::span<const RecordId> ids = (*built)->shard(k).global_ids;
+    maps.emplace_back(ids.begin(), ids.end());
+  }
+  const uint64_t next = ds.size();
+
+  // The hand-written manifest with the true maps loads and answers.
+  WriteFreqSetManifest(dir, config, maps, next, 2);
+  {
+    Result<std::unique_ptr<ShardedContainmentService>> loaded =
+        ShardedContainmentService::Load(dir);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    std::map<RecordId, Record> live;
+    for (RecordId id = 0; id < ds.size(); ++id) live[id] = ds.record(id);
+    EXPECT_TRUE(MatchesFreshBuild(**loaded, FreshReference(config), live,
+                                  TestQueries(5)));
+  }
+
+  std::vector<std::vector<RecordId>> out_of_order = maps;
+  std::swap(out_of_order[0][0], out_of_order[0][1]);
+  // Shard 1 trades its first id for shard 0's first id: both shards then
+  // hold that id, and each map still ascends.
+  std::vector<std::vector<RecordId>> shared_id = maps;
+  shared_id[1][0] = maps[0][0];
+  std::sort(shared_id[1].begin(), shared_id[1].end());
+  struct Case {
+    const char* name;
+    std::vector<std::vector<RecordId>> maps;
+    uint64_t next_global_id;
+    uint64_t base_shards;
+  };
+  const Case cases[] = {
+      {"ids out of order", out_of_order, next, 2},
+      {"id in two shards", shared_id, next, 2},
+      {"id past next_global_id", maps, next - 1, 2},
+      {"more base shards than shards", maps, next, 3},
+      {"next_global_id past the id space", maps, uint64_t{1} << 33, 2},
+  };
+  for (const Case& c : cases) {
+    WriteFreqSetManifest(dir, config, c.maps, c.next_global_id,
+                         c.base_shards);
+    for (const size_t resident : {size_t{0}, size_t{1}}) {
+      ServiceOptions options;
+      options.max_resident_shards = resident;
+      Result<std::unique_ptr<ShardedContainmentService>> loaded =
+          ShardedContainmentService::Load(dir, options);
+      ASSERT_FALSE(loaded.ok()) << c.name << " resident=" << resident;
+      EXPECT_EQ(StatusCode::kCorruption, loaded.status().code())
+          << c.name << ": " << loaded.status().ToString();
+    }
+  }
   std::filesystem::remove_all(dir);
 }
 
