@@ -214,7 +214,7 @@ QueryResponse DynamicGbKmvIndex::SearchQ(const QueryRequest& request,
     const double est =
         static_cast<double>(o1) +
         GkmvEstimateFromCounts(ctx.CountOf(id), q_hashes.size(),
-                               x.gkmv.size(), q_max, x_max);
+                               x.gkmv.size(), q_max, x_max, threshold_);
     const double cap =
         static_cast<double>(std::min<size_t>(q, records_[id].size()));
     return std::min(est, cap);

@@ -59,17 +59,56 @@ GbKmvIndexSearcher::CreateWithSketcher(
   s->chosen_buffer_bits_ = buffer_bits;
   s->sketcher_ = std::move(sketcher);
 
-  const std::unique_ptr<ThreadPool> pool =
-      MakeBuildPool(num_threads, dataset.size());
-  const std::vector<GbKmvSketch> sketches =
-      BuildSketchesParallel(dataset, *s->sketcher_, pool.get());
-  s->owned_record_sizes_.reserve(dataset.size());
-  for (size_t i = 0; i < dataset.size(); ++i) {
-    s->space_units_ += sketches[i].SpaceUnits(buffer_bits);
-    s->owned_record_sizes_.push_back(
-        static_cast<uint32_t>(dataset.record(i).size()));
+  // Every record is sketched straight into the flat store: its bitmap into
+  // its own pre-sized slot, its hash count into offsets[i + 1] (turned into
+  // row starts by the prefix sum below), its hashes into the store (serial)
+  // or into its chunk's vector. Chunks are concatenated in chunk order,
+  // which is record order, so the bytes are the same for any thread count.
+  const GbKmvSketcher& sketcher_ref = *s->sketcher_;
+  const size_t m = dataset.size();
+  const size_t words = (buffer_bits + 63) / 64;
+  s->words_per_record_ = words;
+  s->sketch_threshold_ = sketcher_ref.global_threshold();
+  s->owned_record_sizes_.resize(m);
+  s->owned_buffer_words_.assign(m * words, 0);
+  s->owned_hash_offsets_.assign(m + 1, 0);
+  const auto sketch_rows = [&](size_t begin, size_t end,
+                               std::vector<uint64_t>* hashes) {
+    for (size_t i = begin; i < end; ++i) {
+      const Record& record = dataset.record(i);
+      uint64_t* slot = s->owned_buffer_words_.data() + i * words;
+      const size_t before = hashes->size();
+      sketcher_ref.SketchInto(
+          record,
+          [slot](size_t bit) { slot[bit >> 6] |= uint64_t{1} << (bit & 63); },
+          hashes);
+      s->owned_record_sizes_[i] = static_cast<uint32_t>(record.size());
+      s->owned_hash_offsets_[i + 1] = hashes->size() - before;
+    }
+  };
+  const std::unique_ptr<ThreadPool> pool = MakeBuildPool(num_threads, m);
+  if (pool == nullptr) {
+    sketch_rows(0, m, &s->owned_hashes_);
+  } else {
+    const size_t grain = std::max<size_t>(1, m / (8 * pool->num_threads()));
+    std::vector<std::vector<uint64_t>> chunk_hashes((m + grain - 1) / grain);
+    pool->ParallelFor(0, m, grain,
+                      [&](size_t begin, size_t end, size_t chunk) {
+                        sketch_rows(begin, end, &chunk_hashes[chunk]);
+                      });
+    size_t total = 0;
+    for (const std::vector<uint64_t>& part : chunk_hashes) total += part.size();
+    s->owned_hashes_.reserve(total);
+    for (const std::vector<uint64_t>& part : chunk_hashes) {
+      s->owned_hashes_.insert(s->owned_hashes_.end(), part.begin(), part.end());
+    }
   }
-  GBKMV_RETURN_IF_ERROR(s->AdoptSketches(sketches));
+  for (size_t i = 0; i < m; ++i) {
+    s->owned_hash_offsets_[i + 1] += s->owned_hash_offsets_[i];
+  }
+  s->space_units_ = uint64_t{m} * ((buffer_bits + 31) / 32) +
+                    s->owned_hashes_.size();
+  s->AliasOwnedStore();
   s->BuildQueryStructures();
   return s;
 }
@@ -154,15 +193,16 @@ Result<std::unique_ptr<GbKmvIndexSearcher>> GbKmvIndexSearcher::Merge(
       merged->space_units_ += buffer_units + values.size();
     }
   }
-  merged->record_sizes_ =
-      std::span<const uint32_t>(merged->owned_record_sizes_);
-  merged->buffer_words_ =
-      std::span<const uint64_t>(merged->owned_buffer_words_);
-  merged->hash_offsets_ =
-      std::span<const uint64_t>(merged->owned_hash_offsets_);
-  merged->hashes_ = std::span<const uint64_t>(merged->owned_hashes_);
+  merged->AliasOwnedStore();
   merged->BuildQueryStructures();
   return merged;
+}
+
+bool GbKmvIndexSearcher::ShareSketcher(
+    std::shared_ptr<const GbKmvSketcher> sketcher) {
+  if (!sketcher_->SameParameters(*sketcher)) return false;
+  sketcher_ = std::move(sketcher);
+  return true;
 }
 
 Status GbKmvIndexSearcher::AdoptSketches(
@@ -190,11 +230,15 @@ Status GbKmvIndexSearcher::AdoptSketches(
     owned_hashes_.insert(owned_hashes_.end(), values.begin(), values.end());
     owned_hash_offsets_.push_back(owned_hashes_.size());
   }
+  AliasOwnedStore();
+  return Status::OK();
+}
+
+void GbKmvIndexSearcher::AliasOwnedStore() {
   record_sizes_ = std::span<const uint32_t>(owned_record_sizes_);
   buffer_words_ = std::span<const uint64_t>(owned_buffer_words_);
   hash_offsets_ = std::span<const uint64_t>(owned_hash_offsets_);
   hashes_ = std::span<const uint64_t>(owned_hashes_);
-  return Status::OK();
 }
 
 void GbKmvIndexSearcher::BuildQueryStructures(bool rebuild_postings) {
@@ -289,7 +333,8 @@ QueryResponse GbKmvIndexSearcher::SearchQ(const QueryRequest& request,
     const std::span<const uint64_t> x_hashes = HashesOf(id);
     const uint64_t x_max = x_hashes.empty() ? 0 : x_hashes.back();
     const double d_hat = GkmvEstimateFromCounts(
-        k_intersect, q_sketch_size, x_hashes.size(), q_max, x_max);
+        k_intersect, q_sketch_size, x_hashes.size(), q_max, x_max,
+        sketch_threshold_);
     // The true intersection cannot exceed either set size; both are known
     // exactly, so clamp the noisy sketch estimate (cuts false positives at
     // high thresholds without affecting recall).

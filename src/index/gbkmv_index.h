@@ -1,10 +1,10 @@
 // GB-KMV containment-similarity search (Algorithm 2 + the §IV-B
 // implementation notes).
 //
-// Build: one GbKmvSketch per record (buffer bitmap + G-KMV hash set), an
-// inverted index over the G-KMV hash values, and a buffer popcount order
-// (the records with a non-empty buffer, by ascending |H_X|) for the
-// buffer-only pass.
+// Build: every record's sketch (buffer bitmap + G-KMV hash set) written
+// straight into a flat store, an inverted index over the G-KMV hash values,
+// and a buffer popcount order (the records with a non-empty buffer, by
+// ascending |H_X|) for the buffer-only pass.
 //
 // Query (threshold t*, θ = t*·|Q|):
 //   * records with |X| < θ are pruned outright (a record smaller than the
@@ -61,9 +61,9 @@ struct GbKmvIndexOptions {
   CostModelOptions cost_model;
   uint64_t seed = kDefaultSketchSeed;
 
-  // Build parallelism: sketches and the hash-posting index are built in
-  // per-shard pieces merged in shard order, so the result is byte-identical
-  // to a sequential build for any value. 0 = DefaultThreads(), 1 = serial.
+  // Build parallelism: sketches are built in record chunks placed in record
+  // order, so the result is byte-identical to a sequential build for any
+  // value. 0 = DefaultThreads(), 1 = serial.
   size_t num_threads = 0;
 };
 
@@ -145,6 +145,23 @@ class GbKmvIndexSearcher : public ContainmentSearcher {
   uint64_t global_threshold() const { return sketcher_->global_threshold(); }
   const GbKmvSketcher& sketcher() const { return *sketcher_; }
 
+  // Flat sketch store slices (id < num_records()): record `id`'s buffer
+  // bitmap words and its ascending G-KMV hash values.
+  std::span<const uint64_t> BufferWordsOf(RecordId id) const {
+    return buffer_words_.subspan(size_t{id} * words_per_record_,
+                                 words_per_record_);
+  }
+  std::span<const uint64_t> HashesOf(RecordId id) const {
+    return hashes_.subspan(hash_offsets_[id],
+                           hash_offsets_[id + 1] - hash_offsets_[id]);
+  }
+
+  // Replaces this searcher's sketcher with `sketcher` when the two sketch
+  // every record identically (GbKmvSketcher::SameParameters), so a loaded
+  // shard can drop its file's copy for the service's one. Returns false,
+  // changing nothing, when they differ.
+  bool ShareSketcher(std::shared_ptr<const GbKmvSketcher> sketcher);
+
   // Snapshot persistence (src/io; defined in io/persist_index.cc). The
   // snapshot embeds the dataset and the flat sketch payload, so a reloaded
   // searcher returns byte-identical Search() results without re-sketching.
@@ -176,21 +193,13 @@ class GbKmvIndexSearcher : public ContainmentSearcher {
   static Result<std::unique_ptr<GbKmvIndexSearcher>> LoadAligned(
       io::Reader* in, const Dataset* dataset, bool borrow);
 
-  // Flat sketch store slices: record `id`'s buffer bitmap words and its
-  // ascending G-KMV hash values.
-  std::span<const uint64_t> BufferWordsOf(RecordId id) const {
-    return buffer_words_.subspan(size_t{id} * words_per_record_,
-                                 words_per_record_);
-  }
-  std::span<const uint64_t> HashesOf(RecordId id) const {
-    return hashes_.subspan(hash_offsets_[id],
-                           hash_offsets_[id + 1] - hash_offsets_[id]);
-  }
-
-  // Flattens freshly built / legacy-loaded per-record sketches into the
+  // Flattens legacy-loaded (v1/v2 snapshot) per-record sketches into the
   // flat arrays (Corruption when a stored sketch disagrees with the
   // sketcher's global threshold).
   Status AdoptSketches(const std::vector<GbKmvSketch>& sketches);
+
+  // Points the flat-store spans at the owned vectors.
+  void AliasOwnedStore();
 
   // Builds the derived query structures (buffer popcount order and, unless
   // `rebuild_postings` is false because a snapshot already supplied them,
@@ -200,7 +209,8 @@ class GbKmvIndexSearcher : public ContainmentSearcher {
 
   const Dataset* dataset_;  // null for mapped (dataset-free) loads
   // Shared with every searcher built or merged from the same sketcher;
-  // loaded searchers own the one their snapshot carries.
+  // loaded searchers own the one their snapshot carries until a
+  // ShareSketcher swaps it for an equal shared one.
   std::shared_ptr<const GbKmvSketcher> sketcher_;
   size_t chosen_buffer_bits_ = 0;
   uint64_t space_units_ = 0;  // sketch payload (bitmaps + stored hashes)

@@ -186,10 +186,7 @@ Result<std::unique_ptr<GbKmvIndexSearcher>> GbKmvIndexSearcher::LoadAligned(
     GBKMV_RETURN_IF_ERROR(in->GetU64Array(&s->owned_buffer_words_));
     GBKMV_RETURN_IF_ERROR(in->GetU64Array(&s->owned_hash_offsets_));
     GBKMV_RETURN_IF_ERROR(in->GetU64Array(&s->owned_hashes_));
-    s->record_sizes_ = std::span<const uint32_t>(s->owned_record_sizes_);
-    s->buffer_words_ = std::span<const uint64_t>(s->owned_buffer_words_);
-    s->hash_offsets_ = std::span<const uint64_t>(s->owned_hash_offsets_);
-    s->hashes_ = std::span<const uint64_t>(s->owned_hashes_);
+    s->AliasOwnedStore();
   }
 
   // Shape checks before any slice accessor is trusted.

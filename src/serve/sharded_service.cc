@@ -1419,6 +1419,18 @@ ShardedContainmentService::LoadShardPayload(const Shard& shard) const {
     if (!searcher.ok()) return searcher.status();
     active.searcher = std::move(searcher.value());
   }
+  // A GB-KMV shard drops its file's sketcher for the manifest's one. A file
+  // whose sketcher differs came from another build and would answer with
+  // other parameters.
+  if (global_sketcher_ != nullptr) {
+    if (auto* gbkmv =
+            dynamic_cast<GbKmvIndexSearcher*>(active.searcher.get());
+        gbkmv != nullptr && !gbkmv->ShareSketcher(global_sketcher_)) {
+      return Status::Corruption("shard " + path +
+                                " was sketched with other parameters than "
+                                "the manifest's sketcher");
+    }
+  }
   // Every global id must name a row: a file from another build would
   // otherwise serve local ids past the end of the shard's id map. A mapped
   // payload has no dataset; its index carries the row count.

@@ -201,7 +201,9 @@ class ShardedContainmentService {
   // shard, an id in two shards, an id at or past the next global id) and
   // a base shard count above the shard count (Corruption). Every
   // activation verifies the file's row count against the manifest's
-  // global-id map (Corruption). An activation that fails at serve time —
+  // global-id map (Corruption), and a GB-KMV shard's sketcher against the
+  // manifest's: an equal one is replaced by the manifest's shared copy, a
+  // different one is Corruption. An activation that fails at serve time —
   // the snapshot was deleted or corrupted after Load — is a fatal check:
   // there is no per-response error channel, and serving without the shard
   // would silently drop its records. The lifecycle knobs

@@ -1,7 +1,5 @@
 #include "sketch/gbkmv.h"
 
-#include <algorithm>
-
 namespace gbkmv {
 
 Result<GbKmvSketcher> GbKmvSketcher::Create(const Dataset& dataset,
@@ -40,22 +38,26 @@ Result<GbKmvSketcher> GbKmvSketcher::Create(const Dataset& dataset,
 }
 
 GbKmvSketch GbKmvSketcher::Sketch(const Record& record) const {
+  std::vector<uint64_t> words((options_.buffer_bits + 63) / 64, 0);
+  std::vector<uint64_t> values;
+  values.reserve(record.size());  // one allocation: at most every element
+  SketchInto(
+      record,
+      [&words](size_t bit) { words[bit >> 6] |= uint64_t{1} << (bit & 63); },
+      &values);
   GbKmvSketch sketch;
-  sketch.buffer = Bitmap(options_.buffer_bits);
-  // Buffered elements go to the bitmap; everything else to the G-KMV part.
-  Record non_buffered;
-  non_buffered.reserve(record.size());
-  for (ElementId e : record) {
-    const int32_t bit = e < element_to_bit_.size() ? element_to_bit_[e] : -1;
-    if (bit >= 0) {
-      sketch.buffer.Set(static_cast<size_t>(bit));
-    } else {
-      non_buffered.push_back(e);
-    }
-  }
-  sketch.gkmv =
-      GkmvSketch::Build(non_buffered, global_threshold_, options_.seed);
+  sketch.buffer = Bitmap::FromWords(options_.buffer_bits, std::move(words));
+  sketch.gkmv = GkmvSketch::FromParts(std::move(values), global_threshold_);
   return sketch;
+}
+
+bool GbKmvSketcher::SameParameters(const GbKmvSketcher& other) const {
+  return options_.budget_units == other.options_.budget_units &&
+         options_.buffer_bits == other.options_.buffer_bits &&
+         options_.seed == other.options_.seed &&
+         global_threshold_ == other.global_threshold_ &&
+         buffer_elements_ == other.buffer_elements_ &&
+         element_to_bit_.size() == other.element_to_bit_.size();
 }
 
 GbKmvPairEstimate GbKmvSketcher::EstimatePair(const GbKmvSketch& q,

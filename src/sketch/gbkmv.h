@@ -15,11 +15,14 @@
 #ifndef GBKMV_SKETCH_GBKMV_H_
 #define GBKMV_SKETCH_GBKMV_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "common/bitmap.h"
+#include "common/hash.h"
 #include "common/status.h"
 #include "data/dataset.h"
 #include "sketch/gkmv.h"
@@ -80,6 +83,31 @@ class GbKmvSketcher {
 
   // Builds the sketch of any record (dataset record or incoming query).
   GbKmvSketch Sketch(const Record& record) const;
+
+  // The same sketch without a GbKmvSketch: calls set_bit(bit) for every
+  // buffered element of `record`, appends its kept G-KMV hashes (h <= τ) to
+  // *values and sorts only the appended range. Index builds write records
+  // straight into their flat store through it.
+  template <typename SetBit>
+  void SketchInto(const Record& record, SetBit&& set_bit,
+                  std::vector<uint64_t>* values) const {
+    const size_t start = values->size();
+    for (ElementId e : record) {
+      const int32_t bit = e < element_to_bit_.size() ? element_to_bit_[e] : -1;
+      if (bit >= 0) {
+        set_bit(static_cast<size_t>(bit));
+        continue;
+      }
+      const uint64_t h = HashElement(e, options_.seed);
+      if (h <= global_threshold_) values->push_back(h);
+    }
+    std::sort(values->begin() + static_cast<std::ptrdiff_t>(start),
+              values->end());
+  }
+
+  // True when both sketchers sketch every record identically: the same
+  // options, threshold, buffer universe and universe width.
+  bool SameParameters(const GbKmvSketcher& other) const;
 
   // Pairwise intersection estimate (Eq. 27).
   static GbKmvPairEstimate EstimatePair(const GbKmvSketch& q,

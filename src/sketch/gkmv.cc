@@ -77,6 +77,45 @@ GkmvPairEstimate EstimateGkmvPairThreshold(const GkmvSketch& q,
   return out;
 }
 
+uint64_t SelectWeightedThreshold(
+    std::span<std::pair<uint64_t, uint64_t>> pairs, uint64_t budget_units) {
+  if (budget_units == 0) return 0;
+  uint64_t total = 0;
+  for (const auto& [hash, f] : pairs) {
+    (void)hash;
+    total += f;
+  }
+  if (total <= budget_units) return ~0ULL;  // Budget covers everything.
+  // Invariant: [0, lo) holds the lo smallest pairs, all kept, `used` of
+  // them; the kept prefix ends in [lo, hi].
+  constexpr size_t kSortWindow = 64;
+  size_t lo = 0;
+  size_t hi = pairs.size();
+  uint64_t used = 0;
+  uint64_t threshold = 0;
+  while (hi - lo > kSortWindow) {
+    const size_t mid = lo + (hi - lo) / 2;
+    std::nth_element(pairs.begin() + lo, pairs.begin() + mid,
+                     pairs.begin() + hi);
+    uint64_t left = 0;
+    for (size_t i = lo; i <= mid; ++i) left += pairs[i].second;
+    if (used + left <= budget_units) {
+      used += left;
+      threshold = pairs[mid].first;
+      lo = mid + 1;
+    } else {
+      hi = mid;  // The prefix stops before the pivot.
+    }
+  }
+  std::sort(pairs.begin() + lo, pairs.begin() + hi);
+  for (size_t i = lo; i < hi; ++i) {
+    if (used + pairs[i].second > budget_units) break;
+    used += pairs[i].second;
+    threshold = pairs[i].first;
+  }
+  return threshold;
+}
+
 namespace {
 
 // Shared implementation: τ is the largest hash value such that the total
@@ -94,21 +133,7 @@ uint64_t SelectThreshold(const Dataset& dataset, uint64_t budget_units,
     hash_freq.emplace_back(HashElement(static_cast<ElementId>(e), seed),
                            freq[e]);
   }
-  std::sort(hash_freq.begin(), hash_freq.end());
-  uint64_t total = 0;
-  for (const auto& [hash, f] : hash_freq) {
-    (void)hash;
-    total += f;
-  }
-  if (total <= budget_units) return ~0ULL;  // Budget covers everything.
-  uint64_t used = 0;
-  uint64_t threshold = 0;
-  for (const auto& [hash, f] : hash_freq) {
-    if (used + f > budget_units) break;
-    used += f;
-    threshold = hash;
-  }
-  return threshold;
+  return SelectWeightedThreshold(hash_freq, budget_units);
 }
 
 }  // namespace

@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -74,11 +76,14 @@ GkmvPairEstimate EstimateGkmvPair(const GkmvSketch& q, const GkmvSketch& x);
 
 // The same D̂∩ (Eq. 25) from summary counts alone, O(1): K∩, |L_Q|, |L_X|
 // and each sketch's largest value give k = |L_Q| + |L_X| − K∩ and
-// U(k) = max(max L_Q, max L_X). The index searchers score every candidate
-// with it; inline so their per-candidate loops keep it inlined.
+// U(k) = max(max L_Q, max L_X). `threshold` is the τ both sketches share:
+// at the maximal threshold they are the whole records and K∩ is exact, as
+// in EstimateGkmvPair. The index searchers score every candidate with it;
+// inline so their per-candidate loops keep it inlined.
 inline double GkmvEstimateFromCounts(size_t k_intersect, size_t q_size,
                                      size_t x_size, uint64_t q_max,
-                                     uint64_t x_max) {
+                                     uint64_t x_max, uint64_t threshold) {
+  if (threshold == ~0ULL) return static_cast<double>(k_intersect);
   if (q_size == 0 || x_size == 0) return 0.0;
   const size_t k = q_size + x_size - k_intersect;
   if (k < 2) return 0.0;
@@ -102,6 +107,16 @@ double EstimateContainmentGkmv(const GkmvSketch& query_sketch,
 // Theorem 2 justifies).
 GkmvPairEstimate EstimateGkmvPairThreshold(const GkmvSketch& q,
                                            const GkmvSketch& x);
+
+// The selection behind ComputeGlobalThreshold*, over one (hash, frequency)
+// pair per distinct element: in ascending pair order, τ is the hash of the
+// last pair of the longest prefix whose frequencies sum to <= budget_units
+// (0 when even the first pair exceeds it, the maximal threshold when every
+// pair fits, 0 when budget_units == 0). Pairs with equal hashes stay in
+// frequency order, so a prefix may end inside such a tie. Runs a weighted
+// quickselect in expected O(n) instead of sorting; reorders `pairs`.
+uint64_t SelectWeightedThreshold(
+    std::span<std::pair<uint64_t, uint64_t>> pairs, uint64_t budget_units);
 
 // Chooses the largest τ such that the total sketch size over the whole
 // dataset is <= budget_units (one unit per stored hash). Exact: selects the

@@ -2,28 +2,11 @@
 
 namespace gbkmv {
 
-std::vector<GbKmvSketch> BuildSketchesParallel(const Dataset& dataset,
-                                               const GbKmvSketcher& sketcher,
-                                               ThreadPool* pool) {
-  return ParallelMapIndex<GbKmvSketch>(pool, dataset.size(), [&](size_t i) {
-    return sketcher.Sketch(dataset.record(i));
-  });
-}
-
 std::vector<KmvSketch> BuildKmvSketchesParallel(const Dataset& dataset,
                                                 size_t k, uint64_t seed,
                                                 ThreadPool* pool) {
   return ParallelMapIndex<KmvSketch>(pool, dataset.size(), [&](size_t i) {
     return KmvSketch::Build(dataset.record(i), k, seed);
-  });
-}
-
-std::vector<GkmvSketch> BuildGkmvSketchesParallel(const Dataset& dataset,
-                                                  uint64_t global_threshold,
-                                                  uint64_t seed,
-                                                  ThreadPool* pool) {
-  return ParallelMapIndex<GkmvSketch>(pool, dataset.size(), [&](size_t i) {
-    return GkmvSketch::Build(dataset.record(i), global_threshold, seed);
   });
 }
 

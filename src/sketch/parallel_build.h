@@ -1,9 +1,9 @@
-// Parallel sketch construction over a Dataset (tentpole of the parallel
-// execution subsystem): one overload of BuildSketchesParallel per sketch
-// family. Every record's sketch is a pure function of (record, sketch
-// parameters), so a ParallelFor that writes each result into its pre-sized
-// slot yields output byte-identical to the sequential loop for any thread
-// count.
+// Parallel sketch construction over a Dataset, for the sketch families that
+// keep one sketch object per record (KMV, MinHash; GB-KMV and G-KMV write a
+// flat store instead, GbKmvIndexSearcher::CreateWithSketcher). Every
+// record's sketch is a pure function of (record, sketch parameters), so a
+// ParallelFor that writes each result into its pre-sized slot yields output
+// byte-identical to the sequential loop for any thread count.
 //
 // All entry points accept a nullable ThreadPool: pool == nullptr (or a
 // single-worker pool) runs sequentially, so callers can thread one optional
@@ -19,8 +19,6 @@
 
 #include "common/thread_pool.h"
 #include "data/dataset.h"
-#include "sketch/gbkmv.h"
-#include "sketch/gkmv.h"
 #include "sketch/kmv.h"
 #include "sketch/minhash.h"
 
@@ -45,23 +43,10 @@ std::vector<T> ParallelMapIndex(ThreadPool* pool, size_t n, Fn&& fn) {
   return out;
 }
 
-// GB-KMV: one GbKmvSketch per record under a prepared sketcher.
-std::vector<GbKmvSketch> BuildSketchesParallel(const Dataset& dataset,
-                                               const GbKmvSketcher& sketcher,
-                                               ThreadPool* pool);
-
-// KMV: fixed capacity k per record (Theorem-1 allocation). Named (not an
-// overload): k and the G-KMV threshold are both integral, so overloads would
-// be ambiguous.
+// KMV: fixed capacity k per record (Theorem-1 allocation).
 std::vector<KmvSketch> BuildKmvSketchesParallel(const Dataset& dataset,
                                                 size_t k, uint64_t seed,
                                                 ThreadPool* pool);
-
-// G-KMV: shared global threshold τ.
-std::vector<GkmvSketch> BuildGkmvSketchesParallel(const Dataset& dataset,
-                                                  uint64_t global_threshold,
-                                                  uint64_t seed,
-                                                  ThreadPool* pool);
 
 // MinHash: one signature per record under a shared hash family.
 std::vector<MinHashSignature> BuildSketchesParallel(const Dataset& dataset,

@@ -1,8 +1,9 @@
 // Scalar reference implementations of every kernel in SimdKernels, shared as
-// inline helpers: the scalar dispatch table points straight at them, and the
-// SSE4.2/AVX2 translation units reuse them for tails and for the widths /
-// shapes they do not vectorize. Semantics here are authoritative — the SIMD
-// variants must match them bit for bit (tests/simd_kernels_test.cc).
+// helpers with internal linkage: the scalar dispatch table points straight
+// at them, and the SSE4.2/AVX2 translation units reuse them for tails and
+// for the widths / shapes they do not vectorize. Semantics here are
+// authoritative — the SIMD variants must match them bit for bit
+// (tests/simd_kernels_test.cc).
 
 #ifndef GBKMV_STORAGE_SIMD_KERNELS_COMMON_H_
 #define GBKMV_STORAGE_SIMD_KERNELS_COMMON_H_
@@ -12,6 +13,11 @@
 #include <cstring>
 
 namespace gbkmv::simd_internal {
+
+// Internal linkage: each kernel translation unit keeps its own copy, compiled
+// with that unit's ISA flags. A shared inline (weak) definition would let
+// the linker pick, say, the -mavx2 copy for the scalar table.
+namespace {
 
 // Galloping threshold shared by every dispatch level: when one side is this
 // many times longer, per-element binary search beats any merge. Keeping the
@@ -142,6 +148,7 @@ inline void ScalarDecodeDeltas(const uint8_t* packed, uint32_t width,
   }
 }
 
+}  // namespace
 }  // namespace gbkmv::simd_internal
 
 #endif  // GBKMV_STORAGE_SIMD_KERNELS_COMMON_H_

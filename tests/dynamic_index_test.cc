@@ -222,6 +222,43 @@ TEST(DynamicIndexTest, ZeroThresholdReturnsEveryRecord) {
   }
 }
 
+// Until a shrink, the threshold is the maximal one: every hash is kept and
+// SearchQ scores the exact containment, with and without a buffer.
+TEST(DynamicIndexTest, MaximalThresholdScoresExactContainment) {
+  std::vector<Record> records;
+  for (ElementId base = 0; base < 7; ++base) {
+    // Two elements shared by all, five shared with the neighbours, six of
+    // its own: 67 distinct elements, enough for a 64-bit buffer.
+    std::vector<ElementId> elements = {500, 501};
+    for (ElementId k = 0; k < 5; ++k) elements.push_back(base * 3 + k);
+    for (ElementId k = 0; k < 6; ++k) elements.push_back(1000 + base * 10 + k);
+    records.push_back(MakeRecord(elements));
+  }
+  auto initial = Dataset::Create(records);
+  ASSERT_TRUE(initial.ok());
+  for (const size_t bits : {0, 64}) {
+    DynamicGbKmvOptions options;
+    options.budget_units = 1000;
+    options.buffer_bits = bits;
+    auto index = DynamicGbKmvIndex::Create(*initial, options);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    ASSERT_EQ(~0ULL, (*index)->global_threshold());
+    for (const Record& q : records) {
+      QueryRequest request(q, 0.0);
+      const QueryResponse response =
+          (*index)->SearchQ(request, ThreadLocalQueryContext());
+      ASSERT_EQ(records.size(), response.hits.size());
+      for (const QueryHit& hit : response.hits) {
+        const double exact = ContainmentSimilarity(q, records[hit.id]);
+        EXPECT_EQ(static_cast<float>(exact), hit.score)
+            << "bits " << bits << " record " << hit.id;
+        EXPECT_DOUBLE_EQ(exact, (*index)->EstimateContainment(q, hit.id))
+            << "bits " << bits << " record " << hit.id;
+      }
+    }
+  }
+}
+
 class DynamicBudgetSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(DynamicBudgetSweep, BudgetInvariantUnderManyInserts) {

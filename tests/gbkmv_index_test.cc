@@ -6,8 +6,10 @@
 #include <cmath>
 #include <cstdio>
 #include <iterator>
+#include <memory>
 #include <string>
 
+#include "common/hash.h"
 #include "data/synthetic.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
@@ -184,6 +186,131 @@ TEST(GbKmvIndexTest, SearchMatchesPairwiseEstimator) {
             << qi;
       }
     }
+  }
+}
+
+// At a budget that keeps every hash (τ = the maximal threshold) a sketch is
+// its whole record, so SearchQ scores the exact containment — the value
+// EstimateContainment's pair estimator returns — with and without a buffer.
+TEST(GbKmvIndexTest, MaximalThresholdScoresExactContainment) {
+  std::vector<Record> records;
+  for (ElementId base = 0; base < 7; ++base) {
+    // Two elements shared by all, five shared with the neighbours, six of
+    // its own: 67 distinct elements, enough for a 64-bit buffer.
+    std::vector<ElementId> elements = {500, 501};
+    for (ElementId k = 0; k < 5; ++k) elements.push_back(base * 3 + k);
+    for (ElementId k = 0; k < 6; ++k) elements.push_back(1000 + base * 10 + k);
+    records.push_back(MakeRecord(elements));
+  }
+  const Dataset ds = Dataset::Create(records).value();
+  for (const size_t bits : {0, 64}) {
+    GbKmvIndexOptions opts;
+    opts.budget_units = 1000;
+    opts.buffer_bits = bits;
+    auto s = GbKmvIndexSearcher::Create(ds, opts);
+    ASSERT_TRUE(s.ok()) << s.status().ToString();
+    ASSERT_EQ(~0ULL, (*s)->global_threshold());
+    for (const Record& q : records) {
+      QueryRequest request(q, 0.0);
+      const QueryResponse response =
+          (*s)->SearchQ(request, ThreadLocalQueryContext());
+      ASSERT_EQ(records.size(), response.hits.size());
+      for (const QueryHit& hit : response.hits) {
+        EXPECT_EQ(static_cast<float>(
+                      ContainmentSimilarity(q, records[hit.id])),
+                  hit.score)
+            << "bits " << bits << " record " << hit.id;
+      }
+      EXPECT_EQ(CheckedSearch(**s, q, 0.5), EstimatorScan(**s, ds, q, 0.5))
+          << "bits " << bits;
+    }
+  }
+}
+
+// CreateWithSketcher writes every record straight into the flat store; each
+// row must hold exactly the record's sketch, rebuilt here from the sketcher's
+// parameters alone (buffer bits of E_H, then the G-KMV hashes <= τ), for
+// any build thread count. Sketch() must agree, also for a query with
+// elements outside the universe.
+TEST(GbKmvIndexTest, FlatStoreHoldsEachRecordsSketchForAnyThreadCount) {
+  auto base = TestDataset();
+  ASSERT_TRUE(base.ok());
+  std::vector<Record> records = base->records();
+  // Only E_H elements (with a buffer): the most frequent elements stay
+  // the most frequent with one more occurrence each.
+  const std::vector<ElementId>& ranked = base->elements_by_frequency();
+  records.push_back(MakeRecord({ranked[0], ranked[1], ranked[2], ranked[3]}));
+  // Three rare elements whose hashes exceed τ: an empty G-KMV part.
+  std::vector<ElementId> high;
+  for (ElementId e = 5000; high.size() < 3; ++e) {
+    if (HashToUnit(HashElement(e, kDefaultSketchSeed)) > 0.9) high.push_back(e);
+  }
+  records.push_back(MakeRecord(high));
+  const Dataset ds = Dataset::Create(records).value();
+  const RecordId buffered_only = static_cast<RecordId>(ds.size() - 2);
+  const RecordId no_hashes = static_cast<RecordId>(ds.size() - 1);
+  const Record outside = MakeRecord({ranked[0], 90000, 90001, 90002, 90003});
+
+  for (const size_t bits : {0, 64, 100, 192}) {
+    GbKmvIndexOptions opts;
+    opts.space_ratio = 0.15;
+    opts.buffer_bits = bits;
+    auto sketcher = std::make_shared<const GbKmvSketcher>(
+        GbKmvIndexSearcher::MakeSketcher(ds, opts).value());
+    const uint64_t tau = sketcher->global_threshold();
+    ASSERT_LT(HashToUnit(tau), 0.9);
+    // The reference sketch of `r`: bitmap words and ascending hashes.
+    const auto reference = [&](const Record& r) {
+      std::vector<uint64_t> words((bits + 63) / 64, 0);
+      const std::vector<ElementId>& elems = sketcher->buffer_elements();
+      Record rest;
+      for (ElementId e : r) {
+        const auto it = std::find(elems.begin(), elems.end(), e);
+        if (it == elems.end()) {
+          rest.push_back(e);
+          continue;
+        }
+        const size_t bit = static_cast<size_t>(it - elems.begin());
+        words[bit / 64] |= uint64_t{1} << (bit % 64);
+      }
+      return std::make_pair(
+          words, GkmvSketch::Build(rest, tau, kDefaultSketchSeed).values());
+    };
+
+    for (const size_t threads : {1, 2, 8}) {
+      auto s = GbKmvIndexSearcher::CreateWithSketcher(ds, sketcher, threads);
+      ASSERT_TRUE(s.ok()) << s.status().ToString();
+      uint64_t units = 0;
+      for (size_t i = 0; i < ds.size(); ++i) {
+        const RecordId id = static_cast<RecordId>(i);
+        const auto [words, hashes] = reference(ds.record(i));
+        const std::span<const uint64_t> stored_words = (*s)->BufferWordsOf(id);
+        const std::span<const uint64_t> stored_hashes = (*s)->HashesOf(id);
+        ASSERT_EQ(words, std::vector<uint64_t>(stored_words.begin(),
+                                               stored_words.end()))
+            << "bits " << bits << " threads " << threads << " record " << i;
+        ASSERT_EQ(hashes, std::vector<uint64_t>(stored_hashes.begin(),
+                                                stored_hashes.end()))
+            << "bits " << bits << " threads " << threads << " record " << i;
+        const GbKmvSketch sketch = sketcher->Sketch(ds.record(i));
+        ASSERT_EQ(words, std::vector<uint64_t>(sketch.buffer.words().begin(),
+                                               sketch.buffer.words().end()));
+        ASSERT_EQ(hashes, sketch.gkmv.values());
+        units += (bits + 31) / 32 + hashes.size();
+      }
+      EXPECT_EQ(units, (*s)->BudgetSpaceUnits());
+      EXPECT_TRUE((*s)->HashesOf(no_hashes).empty());
+      if (bits > 0) {
+        EXPECT_TRUE((*s)->HashesOf(buffered_only).empty());
+      }
+    }
+
+    const auto [words, hashes] = reference(outside);
+    const GbKmvSketch sketch = sketcher->Sketch(outside);
+    EXPECT_EQ(words, std::vector<uint64_t>(sketch.buffer.words().begin(),
+                                           sketch.buffer.words().end()));
+    EXPECT_EQ(hashes, sketch.gkmv.values());
+    EXPECT_EQ(tau, sketch.gkmv.threshold());
   }
 }
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "common/hash.h"
 #include "data/synthetic.h"
@@ -202,6 +206,78 @@ TEST(GlobalThresholdTest, LargerBudgetLargerThreshold) {
   }
 }
 
+// The selection by full sort and prefix scan that SelectWeightedThreshold
+// must reproduce exactly.
+uint64_t SortScanThreshold(std::vector<std::pair<uint64_t, uint64_t>> pairs,
+                           uint64_t budget) {
+  if (budget == 0) return 0;
+  std::sort(pairs.begin(), pairs.end());
+  uint64_t total = 0;
+  for (const auto& pair : pairs) total += pair.second;
+  if (total <= budget) return ~0ULL;
+  uint64_t used = 0;
+  uint64_t threshold = 0;
+  for (const auto& [hash, f] : pairs) {
+    if (used + f > budget) break;
+    used += f;
+    threshold = hash;
+  }
+  return threshold;
+}
+
+uint64_t Select(std::vector<std::pair<uint64_t, uint64_t>> pairs,
+                uint64_t budget) {
+  return SelectWeightedThreshold(pairs, budget);
+}
+
+TEST(GlobalThresholdTest, WeightedSelectionKeepsEqualHashTiesInOrder) {
+  // Pair order is (hash, frequency): (5,1) (5,3) (7,2), total 6.
+  const std::vector<std::pair<uint64_t, uint64_t>> pairs = {
+      {7, 2}, {5, 3}, {5, 1}};
+  EXPECT_EQ(0u, Select(pairs, 0));
+  EXPECT_EQ(5u, Select(pairs, 1));  // the prefix ends inside the tie
+  EXPECT_EQ(5u, Select(pairs, 3));
+  EXPECT_EQ(5u, Select(pairs, 4));
+  EXPECT_EQ(5u, Select(pairs, 5));
+  EXPECT_EQ(~0ULL, Select(pairs, 6));
+  EXPECT_EQ(0u, Select({{5, 3}}, 2));  // even the first pair is too heavy
+  EXPECT_EQ(~0ULL, Select({}, 1));
+}
+
+TEST(GlobalThresholdTest, WeightedSelectionMatchesFullSort) {
+  std::mt19937_64 rng(17);
+  // Around the sorted-window cutoff (64 pairs) and well past it.
+  for (const size_t n : {1, 2, 63, 64, 65, 130, 1000, 4097}) {
+    for (int trial = 0; trial < 12; ++trial) {
+      // Odd trials draw from a few hashes, so equal-hash ties with
+      // different frequencies are common; some trials use unit weights.
+      const uint64_t hash_range = trial % 2 == 1 ? n / 8 + 2 : 0;
+      const uint64_t max_freq = trial % 3 == 0 ? 1 : 40;
+      std::vector<std::pair<uint64_t, uint64_t>> pairs(n);
+      for (auto& [hash, f] : pairs) {
+        hash = hash_range == 0 ? rng() : rng() % hash_range;
+        f = 1 + rng() % max_freq;
+      }
+      std::vector<std::pair<uint64_t, uint64_t>> sorted = pairs;
+      std::sort(sorted.begin(), sorted.end());
+      std::vector<uint64_t> prefix(1, 0);
+      for (const auto& pair : sorted) {
+        prefix.push_back(prefix.back() + pair.second);
+      }
+      const uint64_t total = prefix.back();
+      std::vector<uint64_t> budgets = {0, 1, total - 1, total, total + 1};
+      for (int k = 0; k < 6; ++k) {
+        const uint64_t exact = prefix[1 + rng() % n];  // a prefix sum
+        budgets.insert(budgets.end(), {exact - 1, exact, exact + 1});
+        budgets.push_back(1 + rng() % total);
+      }
+      for (const uint64_t budget : budgets) {
+        EXPECT_EQ(SortScanThreshold(pairs, budget), Select(pairs, budget))
+            << "n " << n << " trial " << trial << " budget " << budget;
+      }
+    }
+  }
+}
 
 TEST(GkmvThresholdEstimatorTest, AgreesWithOrderStatisticsForLargeK) {
   const Record a = SequentialRecord(0, 3000);

@@ -1765,6 +1765,69 @@ TEST(ShardedServiceTest, ShardFileWithWrongRowCountIsCorruption) {
   }
 }
 
+// Loaded GB-KMV shards drop their files' sketchers for the manifest's one,
+// which a shard ingested after the load shares too — for the mapped and the
+// copying loader.
+TEST(ShardedServiceTest, LoadedGbKmvShardsShareTheManifestSketcher) {
+  const Dataset& ds = TestDataset();
+  const std::string dir = ::testing::TempDir() + "sharded_shared_sketcher";
+  ASSERT_TRUE(serve::BuildShardedService(ds,
+                                         ServiceConfig(SearchMethod::kGbKmv, 3))
+                  .value()
+                  ->Save(dir)
+                  .ok());
+  for (const char* force : {"0", "1"}) {
+    const ScopedForceCopyLoad loader(force);
+    Result<std::unique_ptr<ShardedContainmentService>> loaded =
+        ShardedContainmentService::Load(dir);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_TRUE((*loaded)->Ingest(MakeRecord({6200, 6201, 6202})).ok());
+    const size_t total = (*loaded)->num_shards() + 1;  // + the open shard
+    ASSERT_EQ(3u + 1u, total);
+    const GbKmvSketcher* shared = nullptr;
+    for (size_t i = 0; i < total; ++i) {
+      const auto* searcher = dynamic_cast<const GbKmvIndexSearcher*>(
+          (*loaded)->shard(i).searcher);
+      ASSERT_NE(nullptr, searcher);
+      if (shared == nullptr) shared = &searcher->sketcher();
+      EXPECT_EQ(shared, &searcher->sketcher())
+          << "shard " << i << " force_copy=" << force;
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// A shard file from a build with another space budget has the same rows
+// but another τ: it would answer with other parameters, so Load rejects it.
+TEST(ShardedServiceTest, ShardFileWithOtherSketcherIsCorruption) {
+  const Dataset& ds = TestDataset();
+  const std::string dir = ::testing::TempDir() + "sharded_other_sketcher";
+  const std::string other =
+      ::testing::TempDir() + "sharded_other_sketcher_src";
+  SearcherConfig config = ServiceConfig(SearchMethod::kGbKmv, 2);
+  ASSERT_TRUE(
+      serve::BuildShardedService(ds, config).value()->Save(dir).ok());
+  config.space_ratio = 0.2;
+  ASSERT_TRUE(
+      serve::BuildShardedService(ds, config).value()->Save(other).ok());
+  std::filesystem::copy_file(
+      other + "/shard-001.snap", dir + "/shard-001.snap",
+      std::filesystem::copy_options::overwrite_existing);
+  for (const char* force : {"0", "1"}) {
+    const ScopedForceCopyLoad loader(force);
+    Result<std::unique_ptr<ShardedContainmentService>> loaded =
+        ShardedContainmentService::Load(dir);
+    ASSERT_FALSE(loaded.ok()) << "force_copy=" << force;
+    EXPECT_EQ(StatusCode::kCorruption, loaded.status().code())
+        << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find("shard-001.snap"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(other);
+}
+
 // Lazy activation (docs/sharding.md "Larger than RAM"): a service loaded
 // with max_resident_shards < S answers bit-identically to the eager load —
 // shards activate on first query, the LRU evicts down to the budget, and
